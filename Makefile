@@ -2,10 +2,12 @@
 
 GO ?= go
 
-.PHONY: all build vet test race doccheck check fmt bench benchgate e2e-dist e2e-load e2e-state
+.PHONY: all build vet test race doccheck check fmt bench benchgate e2e-dist e2e-load e2e-state fuzz-smoke perfbench-test
 
 # The benchmark suite `make bench` records and `make benchgate` gates on.
-BENCHES = BenchmarkGenerateSpace|BenchmarkExploreParallel|BenchmarkKernelInterpreter|BenchmarkExhaustiveSweep
+# BenchmarkEvalDistinct is anchored so its engine-comparison sibling
+# (BenchmarkEvalDistinctEngines, about a minute on the walker) stays out.
+BENCHES = BenchmarkGenerateSpace|BenchmarkExploreParallel|BenchmarkKernelInterpreter|BenchmarkExhaustiveSweep|BenchmarkEvalDistinct$$
 
 all: check
 
@@ -51,11 +53,24 @@ e2e-state: build
 doccheck: vet
 	sh scripts/doccheck.sh
 
-check: doccheck build test race e2e-load benchgate
+# fuzz-smoke runs the vm-vec vs walker differential fuzzer briefly on top
+# of its seed corpus (which `go test` already replays); a failing input
+# lands in internal/oclc/testdata/fuzz and should be committed as a
+# regression case.
+fuzz-smoke:
+	$(GO) test ./internal/oclc -run '^$$' -fuzz FuzzVMVecDifferential -fuzztime 10s
+
+# perfbench is its own Go module, so `go test ./...` never reaches its
+# checks of the benchmark program (BENCHMARK.json vs printed metrics).
+perfbench-test:
+	cd perfbench && $(GO) test .
+
+check: doccheck build test race fuzz-smoke perfbench-test e2e-load benchgate
 
 # bench runs the space-generation benchmark (memo on/off × workers), the
-# exploration benches, and the kernel-interpreter engine comparison
-# (walk vs vm-nospec vs vm vs vm-vec), 5 samples each for
+# exploration benches, the kernel-interpreter engine comparison (walk vs
+# vm-nospec vs vm vs vm-vec) and the distinct-configuration evaluation
+# sample (BenchmarkEvalDistinct), 5 samples each for
 # benchdiff/benchstat. The raw text is kept in results/bench.txt and a
 # machine-readable mean-ns/op summary is written to results/bench.json;
 # scripts/benchdiff.sh diffs any mix of the two formats:

@@ -10,6 +10,9 @@ package atf_test
 
 import (
 	"fmt"
+	"math/rand"
+	"sort"
+	"sync"
 	"testing"
 	"time"
 
@@ -425,6 +428,85 @@ func BenchmarkKernelInterpreter(b *testing.B) {
 			}
 		})
 	}
+}
+
+// evalDistinctSample is BenchmarkEvalDistinct's fixed workload: the first
+// 32 launch-feasible configurations of a seed-1 random draw (without
+// repetition) from the cap-64 XgemmDirect space, with the evaluator for
+// the IS4 shape on the simulated K20m — the configurations a seeded
+// random-search tuning run evaluates.
+var evalDistinctSample = sync.OnceValues(func() ([]*core.Config, *clblast.GemmEvaluator) {
+	const n = 32
+	dev, err := opencl.FindDevice("", "K20m")
+	if err != nil {
+		panic(err)
+	}
+	sp, err := core.GenerateFlat(clblast.XgemmDirectParams(clblast.SpaceOptions{RangeCap: 64}), core.GenOptions{})
+	if err != nil {
+		panic(err)
+	}
+	eval := clblast.NewGemmEvaluator(dev, clblast.CaffeInputSizes()[3], 1)
+	rng := rand.New(rand.NewSource(1))
+	seen := map[uint64]bool{}
+	var cfgs []*core.Config
+	for len(cfgs) < n {
+		idx := rng.Uint64() % sp.Size()
+		if seen[idx] {
+			continue
+		}
+		seen[idx] = true
+		cfg := sp.At(idx)
+		if _, err := eval.Eval(cfg); err == nil {
+			cfgs = append(cfgs, cfg)
+		}
+	}
+	return cfgs, eval
+})
+
+// BenchmarkEvalDistinct times the evaluation a tuning run pays for: one
+// op evaluates the 32 distinct configurations of evalDistinctSample, each
+// compiled cold and launched on the process default engine (vm-vec).
+// BenchmarkKernelInterpreter times one default configuration, about 28×
+// cheaper than a median one; this is the per-evaluation cost behind the
+// benchmark's gemm-distinct workload. Reports the p50 and p90
+// milliseconds per evaluation beside ns/op.
+func BenchmarkEvalDistinct(b *testing.B) {
+	benchmarkEvalDistinct(b)
+}
+
+// BenchmarkEvalDistinctEngines runs the same sample on every engine (E11
+// on tuning's real workload; one walk op takes about ten seconds on a
+// 2-vCPU Xeon). It is not part of the make bench suite.
+func BenchmarkEvalDistinctEngines(b *testing.B) {
+	prev := oclc.DefaultEngine()
+	defer oclc.SetDefaultEngine(prev)
+	for _, eng := range []oclc.Engine{oclc.EngineWalk, oclc.EngineVMNoSpec, oclc.EngineVM, oclc.EngineVMVec} {
+		b.Run("engine="+eng.String(), func(b *testing.B) {
+			oclc.SetDefaultEngine(eng)
+			benchmarkEvalDistinct(b)
+		})
+	}
+}
+
+func benchmarkEvalDistinct(b *testing.B) {
+	cfgs, eval := evalDistinctSample()
+	var ms []float64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, cfg := range cfgs {
+			oclc.ResetCompileCache()
+			start := time.Now()
+			if _, err := eval.Eval(cfg); err != nil {
+				b.Fatal(err)
+			}
+			ms = append(ms, float64(time.Since(start))/1e6)
+		}
+	}
+	b.StopTimer()
+	oclc.ResetCompileCache()
+	sort.Float64s(ms)
+	b.ReportMetric(ms[len(ms)/2], "p50-ms/eval")
+	b.ReportMetric(ms[len(ms)*9/10], "p90-ms/eval")
 }
 
 // BenchmarkExploreParallel measures the parallel exploration engine against

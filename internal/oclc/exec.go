@@ -301,10 +301,64 @@ func (p *Program) runGroup(fn *Function, args []Arg, wg *wgCtx, agg *Counters, c
 			return false, err
 		}
 	}
+	barriers := make([]int64, len(counters))
 	for i := range counters {
 		agg.Add(&counters[i])
+		barriers[i] = counters[i].Barriers
 	}
-	return wg.barrier.divergent, nil
+	return replayDivergence(barriers), nil
+}
+
+// replayDivergence is the divergence flag of a group whose work-item i
+// arrived at barriers[i] barriers before it finished, under the VM
+// schedulers' cooperative protocol (vmScheduler.runGroup): passes over
+// the runnable work-items in linear local id order, each running to its
+// next barrier or its end; the last live arriver releases a barrier, and
+// a finisher releases the waiters — flagging divergence — once every
+// other live work-item waits. The walker's goroutines meet at a
+// free-running cyclicBarrier, whose own flag depends on which goroutine
+// gets there first; replaying the per-item barrier counts makes the
+// walker's flag deterministic and equal to the VM engines'.
+func replayDivergence(barriers []int64) bool {
+	n := len(barriers)
+	left := append([]int64(nil), barriers...)
+	status := make([]vmStatus, n)
+	parties, waiting, live := n, 0, n
+	divergent := false
+	release := func() {
+		for i := range status {
+			if status[i] == vmWaiting {
+				status[i] = vmRunning
+			}
+		}
+		waiting = 0
+	}
+	for live > 0 {
+		for i := range status {
+			if status[i] != vmRunning {
+				continue
+			}
+			if left[i] > 0 {
+				left[i]--
+				status[i] = vmWaiting
+				waiting++
+				if waiting >= parties {
+					release()
+				}
+				continue
+			}
+			status[i] = vmDone
+			live--
+			parties--
+			if parties > 0 && waiting >= parties {
+				if waiting > 0 {
+					divergent = true
+				}
+				release()
+			}
+		}
+	}
+	return divergent
 }
 
 func argToRval(a Arg) rval {

@@ -256,7 +256,7 @@ func (w *wiCtx) resolveIndex(x *Index) (*Memory, int64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	off := base.off + i0.asInt()
+	off := i0.asInt()
 	if len(x.Idx) == 2 {
 		if base.dim1 <= 0 {
 			return nil, 0, errf(x.Pos, "2-D subscript of 1-D array")
@@ -265,7 +265,7 @@ func (w *wiCtx) resolveIndex(x *Index) (*Memory, int64, error) {
 		if err != nil {
 			return nil, 0, err
 		}
-		off = base.off + i0.asInt()*base.dim1 + i1.asInt()
+		off = i0.asInt()*base.dim1 + i1.asInt()
 		w.ctr.IntOps++ // row-major address computation
 	}
 	return base.mem, off, nil

@@ -1,7 +1,7 @@
 package oclc
 
 // opcode enumerates the register-based bytecode instruction set. Operands
-// are frame-slot/register indices into a flat rval register file (variable
+// are frame-slot/register indices into a register file (vmRegs: variable
 // slots first, expression temporaries above), jump targets are instruction
 // offsets, and every counter-relevant operation bumps the same Counters
 // fields the tree-walking interpreter does — the two engines must agree
@@ -132,10 +132,10 @@ const brUniform int32 = 1 << 16
 // writing — which the vector engine's lane re-convergence check uses to
 // ignore stale per-lane garbage in expression temporaries.
 //
-// Lane-width-aware operand layout (vmvec.go): the vector engine keeps one
-// structure-of-arrays register file per frame, laid out column-major —
-// register r of lane l lives at regs[r*width+l], so every operand index
-// in this file addresses a contiguous [width]rval column. Scalar frames
+// Lane-width-aware operand layout (vm.go, vmvec.go): every frame's
+// register file is laid out column-major — the payload word of register r
+// of lane l lives at val[r*width+l], so every operand index in this file
+// addresses a contiguous [width]uint64 column plus one kind. Scalar frames
 // use the same indices with width 1; no instruction encodes the width.
 
 // Comparison kinds for opBrCmpFalse* (low byte of operand d).

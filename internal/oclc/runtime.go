@@ -8,36 +8,24 @@ import (
 	"unsafe"
 )
 
-// rval is a runtime value: an int/float/bool scalar or a pointer into a
-// Memory. Kept small and passed by value so expression evaluation does not
-// allocate.
+// rval is a runtime value of the tree-walking engine: an int/float/bool
+// scalar or a pointer to a Memory. It also carries folded constants and
+// builtin arguments and results between the engines. The bytecode engines
+// do not store rvals: their registers are narrowed to a per-register kind
+// plus 8-byte payload words (vmRegs, vm.go). Kept small and passed by
+// value so expression evaluation does not allocate. Pointers always
+// address a buffer's element 0 — arguments and array declarations are the
+// only pointer sources — so there is no offset field.
 type rval struct {
 	k    ValKind
 	i    int64
 	f    float64
 	mem  *Memory
-	off  int64 // element offset for pointers
 	dim1 int64 // second-dimension extent for 2-D arrays (0 = 1-D)
 }
 
 func intVal(v int64) rval     { return rval{k: KInt, i: v} }
 func floatVal(v float64) rval { return rval{k: KFloat, f: v} }
-
-// setInt/setFloat write a scalar result in place, touching only the kind
-// and payload fields. A full rval assignment copies 48 bytes and — because
-// of the mem pointer — goes through the GC write barrier on every register
-// write; the in-place form does neither. Stale mem/off/dim1 fields are
-// harmless: every consumer dispatches on k first and reads pointer fields
-// only when k == KPtr.
-func (p *rval) setInt(v int64) {
-	p.k = KInt
-	p.i = v
-}
-
-func (p *rval) setFloat(v float64) {
-	p.k = KFloat
-	p.f = v
-}
 
 // asInt coerces to int64 with C semantics (float truncation).
 func (v rval) asInt() int64 {
@@ -100,10 +88,15 @@ func (m *Memory) storeCell(i int64, v float64) {
 	atomic.StoreUint64((*uint64)(unsafe.Pointer(&m.Data[i])), math.Float64bits(v))
 }
 
+// rangeErr is the out-of-range error of a load or store at index i.
+func (m *Memory) rangeErr(op string, i int64) error {
+	return fmt.Errorf("oclc: %s buffer %d: %s index %d out of range [0,%d)", m.Space, m.ID, op, i, len(m.Data))
+}
+
 // load reads element i.
 func (m *Memory) load(i int64) (rval, error) {
 	if i < 0 || i >= int64(len(m.Data)) {
-		return rval{}, fmt.Errorf("oclc: %s buffer %d: load index %d out of range [0,%d)", m.Space, m.ID, i, len(m.Data))
+		return rval{}, m.rangeErr("load", i)
 	}
 	if m.Elem == KFloat {
 		return floatVal(m.loadCell(i)), nil
@@ -114,30 +107,12 @@ func (m *Memory) load(i int64) (rval, error) {
 // store writes element i.
 func (m *Memory) store(i int64, v rval) error {
 	if i < 0 || i >= int64(len(m.Data)) {
-		return fmt.Errorf("oclc: %s buffer %d: store index %d out of range [0,%d)", m.Space, m.ID, i, len(m.Data))
+		return m.rangeErr("store", i)
 	}
 	if m.Elem == KFloat {
 		m.storeCell(i, v.asFloat())
 	} else {
 		m.storeCell(i, float64(v.asInt()))
-	}
-	return nil
-}
-
-// storePlain is store for engines that interleave a whole group's
-// work-items on one goroutine (the VM schedulers): identical bounds and
-// conversion semantics, without the atomic cell write — an atomic store is
-// a serializing instruction on most hosts and the vector engine issues one
-// per lane per store. The walker keeps the atomic path because its
-// work-items are goroutines that may race on a cell.
-func (m *Memory) storePlain(i int64, v rval) error {
-	if uint64(i) >= uint64(len(m.Data)) {
-		return fmt.Errorf("oclc: %s buffer %d: store index %d out of range [0,%d)", m.Space, m.ID, i, len(m.Data))
-	}
-	if m.Elem == KFloat {
-		m.Data[i] = v.asFloat()
-	} else {
-		m.Data[i] = float64(v.asInt())
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package oclc
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"atf/internal/obs"
@@ -13,6 +14,269 @@ import (
 var mVMInstructions = obs.NewCounter("atf_oclc_vm_instructions_total",
 	"Bytecode instructions retired by the oclc register VM")
 
+// vmPtr is one lane's pointer-register state: the buffer and, for a 2-D
+// array, its second-dimension extent. Every pointer a kernel can hold
+// addresses element 0 of its buffer (arguments and array declarations are
+// the only pointer sources), so there is no offset.
+type vmPtr struct {
+	mem  *Memory
+	dim1 int64
+}
+
+// vmRegs is the bytecode engines' register file: one kind per register,
+// shared by all w lanes, and one pointer-free payload word per register
+// and lane, laid out column-major — register r of lane l at val[r*w+l].
+// A scalar frame is the w = 1 case; a lockstep frame spans the work-group.
+// The payload holds int64 bits for KInt/KVoid, float64 bits for KFloat,
+// and 0 for KPtr. Pointer state lives in a side table of per-lane vmPtr
+// columns that only registers which ever hold a pointer get (pcol), so
+// arithmetic never touches it and the payload columns — the hot data —
+// carry no GC-visible pointers.
+//
+// A per-register kind is exact for a scalar frame. For a lockstep frame
+// it rests on the kind-uniformity invariant (vmvec.go): every lane of a
+// lockstep group holds the same kind in every register.
+type vmRegs struct {
+	w    int
+	kind []ValKind
+	val  []uint64
+	pcol []int32   // register r's pointer column index + 1; 0 = none yet
+	ptr  []vmPtr   // pointer columns, w entries each
+	blk  []vmBlock // register r's whole-group layout, if any; nil in scalar frames
+}
+
+// vmBlock is the layout of a pointer register whose lanes all address one
+// allocation: lane l's buffer is data[l*stride : l*stride+n] — a shared
+// buffer (stride 0: arguments, __local tiles) or one lane-strided block
+// (private arrays declared in lockstep). Memory instructions then index
+// data directly instead of chasing each lane's descriptor. A zero vmBlock
+// (nil mem) means the lanes' buffers are unrelated. Every write of a
+// pointer column sets or clears the register's block.
+type vmBlock struct {
+	mem    *Memory // one lane's buffer: space and element kind of all
+	data   []float64
+	stride int
+	n      int
+	dim1   int64
+}
+
+// holds reports whether p, lane l's descriptor, lies in the block.
+func (b *vmBlock) holds(p vmPtr, l int) bool {
+	return b.n > 0 && len(p.mem.Data) == b.n && p.dim1 == b.dim1 &&
+		&p.mem.Data[0] == &b.data[l*b.stride]
+}
+
+// reset shapes a scalar frame's file: n registers, one lane, no blocks.
+func (r *vmRegs) reset(n int) { r.shape(n, 1, false) }
+
+// resetLanes shapes a lockstep frame's file: n registers of w lanes, with
+// a block slot per register.
+func (r *vmRegs) resetLanes(n, w int) { r.shape(n, w, true) }
+
+// shape sizes the file. Contents survive when the shape is unchanged —
+// every register is written before it is read, so pooled files are
+// reused un-zeroed — but a new shape clears kinds, the pointer-column map
+// and the blocks, keeping the invariant that every KPtr register owns a
+// column of the current width.
+func (r *vmRegs) shape(n, w int, blocks bool) {
+	if r.w == w && len(r.kind) == n {
+		return
+	}
+	r.w = w
+	r.kind = resize(r.kind, n)
+	clear(r.kind)
+	r.val = resize(r.val, n*w)
+	r.pcol = resize(r.pcol, n)
+	clear(r.pcol)
+	r.ptr = r.ptr[:0]
+	if blocks {
+		r.blk = resize(r.blk, n)
+		clear(r.blk)
+	}
+}
+
+// resize returns s with length n, reusing its backing array when it fits.
+func resize[T any](s []T, n int) []T {
+	if cap(s) >= n {
+		return s[:n]
+	}
+	return make([]T, n)
+}
+
+// col returns register reg's payload column.
+func (r *vmRegs) col(reg int32) []uint64 {
+	i := int(reg) * r.w
+	return r.val[i : i+r.w]
+}
+
+// ptrs returns register reg's pointer column, creating it on first use.
+func (r *vmRegs) ptrs(reg int32) []vmPtr {
+	if c := r.pcol[reg]; c != 0 {
+		i := int(c-1) * r.w
+		return r.ptr[i : i+r.w]
+	}
+	return r.newPtrs(reg)
+}
+
+func (r *vmRegs) newPtrs(reg int32) []vmPtr {
+	i := len(r.ptr)
+	r.ptr = append(r.ptr, make([]vmPtr, r.w)...)
+	r.pcol[reg] = int32(i/r.w) + 1
+	return r.ptr[i : i+r.w]
+}
+
+// get decodes lane l of register reg into an rval (builtin arguments,
+// returns).
+func (r *vmRegs) get(reg int32, l int) rval {
+	v := r.val[int(reg)*r.w+l]
+	switch k := r.kind[reg]; k {
+	case KFloat:
+		return rval{k: KFloat, f: math.Float64frombits(v)}
+	case KPtr:
+		p := r.ptrs(reg)[l]
+		return rval{k: KPtr, mem: p.mem, dim1: p.dim1}
+	default:
+		return rval{k: k, i: int64(v)}
+	}
+}
+
+// set encodes v into lane l of register reg. The kind is per register, so
+// in a lockstep frame every lane must be set to the same kind.
+func (r *vmRegs) set(reg int32, l int, v rval) {
+	i := int(reg)*r.w + l
+	switch v.k {
+	case KFloat:
+		r.val[i] = math.Float64bits(v.f)
+	case KPtr:
+		r.setPtr(reg, l, v.mem, v.dim1)
+		return
+	default:
+		r.val[i] = uint64(v.i)
+	}
+	r.kind[reg] = v.k
+}
+
+// setPtr makes lane l of register reg point at mem.
+func (r *vmRegs) setPtr(reg int32, l int, mem *Memory, dim1 int64) {
+	r.kind[reg] = KPtr
+	r.val[int(reg)*r.w+l] = 0
+	r.ptrs(reg)[l] = vmPtr{mem: mem, dim1: dim1}
+	if r.blk != nil {
+		r.blk[reg] = vmBlock{}
+	}
+}
+
+// copyReg copies register src of from into register dst of r on the given
+// lanes; both files have the same width and may be the same file.
+func (r *vmRegs) copyReg(dst int32, from *vmRegs, src int32, lanes []int) {
+	k := from.kind[src]
+	dcol, scol := r.col(dst), from.col(src)
+	for _, l := range lanes {
+		dcol[l] = scol[l]
+	}
+	if k == KPtr {
+		dp := r.ptrs(dst) // first: it may grow r.ptr, which from may share
+		sp := from.ptrs(src)
+		for _, l := range lanes {
+			dp[l] = sp[l]
+		}
+		if r.blk != nil {
+			r.blk[dst] = from.blk[src]
+		}
+	}
+	r.kind[dst] = k
+}
+
+// convertReg is copyReg through convert(·, to): KFloat and KInt/KBool
+// targets convert the payload, any other target copies the value as is.
+func (r *vmRegs) convertReg(dst int32, from *vmRegs, src int32, to ValKind, lanes []int) {
+	k := from.kind[src]
+	dcol, scol := r.col(dst), from.col(src)
+	switch to {
+	case KFloat:
+		if k != KFloat {
+			for _, l := range lanes {
+				dcol[l] = fbits(float64(int64(scol[l])))
+			}
+		} else if r != from || dst != src {
+			for _, l := range lanes {
+				dcol[l] = scol[l]
+			}
+		}
+		r.kind[dst] = KFloat
+	case KInt, KBool:
+		if k == KFloat {
+			for _, l := range lanes {
+				dcol[l] = uint64(int64(math.Float64frombits(scol[l])))
+			}
+		} else if r != from || dst != src {
+			for _, l := range lanes {
+				dcol[l] = scol[l]
+			}
+		}
+		r.kind[dst] = KInt
+	default:
+		r.copyReg(dst, from, src, lanes)
+	}
+}
+
+// lane0 is the lane list of a scalar (w = 1) register file.
+var lane0 = []int{0}
+
+// Payload decoding with C promotion: the narrowed counterparts of
+// rval.asFloat, asInt and truthy for a word of kind k.
+
+func fbits(f float64) uint64 { return math.Float64bits(f) }
+
+func wordF(v uint64, k ValKind) float64 {
+	if k == KFloat {
+		return math.Float64frombits(v)
+	}
+	return float64(int64(v))
+}
+
+func wordI(v uint64, k ValKind) int64 {
+	if k == KFloat {
+		return int64(math.Float64frombits(v))
+	}
+	return int64(v)
+}
+
+func wordTruthy(v uint64, k ValKind) bool {
+	if k == KFloat {
+		return math.Float64frombits(v) != 0
+	}
+	return v != 0
+}
+
+// loadWord reads element i of m as a register payload of m's element
+// kind; ok is false when i is out of range.
+func (m *Memory) loadWord(i int64) (v uint64, k ValKind, ok bool) {
+	if uint64(i) >= uint64(len(m.Data)) {
+		return 0, KVoid, false
+	}
+	c := m.loadCell(i)
+	if m.Elem == KFloat {
+		return math.Float64bits(c), KFloat, true
+	}
+	return uint64(int64(c)), KInt, true
+}
+
+// storeWord writes a payload of kind k to element i with store's
+// conversion and bounds semantics, without the atomic cell write: the VM
+// schedulers interleave a whole group's work-items on one goroutine.
+func (m *Memory) storeWord(i int64, v uint64, k ValKind) error {
+	if uint64(i) >= uint64(len(m.Data)) {
+		return m.rangeErr("store", i)
+	}
+	if m.Elem == KFloat {
+		m.Data[i] = wordF(v, k)
+	} else {
+		m.Data[i] = float64(wordI(v, k))
+	}
+	return nil
+}
+
 // vmStatus is a work-item's scheduling state under the cooperative
 // group scheduler.
 type vmStatus uint8
@@ -23,12 +287,12 @@ const (
 	vmDone
 )
 
-// vmFrame is one activation record: a function's register file plus its
-// resume point.
+// vmFrame is one activation record: a function's register file (w = 1)
+// plus its resume point.
 type vmFrame struct {
 	fn   *Function
 	vc   *vmCode
-	regs []rval
+	regs vmRegs
 	ip   int
 	dst  int32 // caller register receiving the return value
 }
@@ -50,11 +314,30 @@ type vmWI struct {
 	status vmStatus
 	err    error
 	icount int64
+	args   []rval // builtin argument scratch
 }
 
 func (wi *vmWI) fail(err error) {
 	wi.err = err
 	wi.status = vmDone
+}
+
+// pushFrame enters callee at depth len(wi.frames), reusing the frame (and
+// its register file) pooled there by an earlier call; reuse without
+// zeroing is sound because every register is written before it is read:
+// parameters by the caller's copy, variables by their declaration's
+// zero/init instructions, temporaries by the expression that defines them.
+func (wi *vmWI) pushFrame(callee *Function, cvc *vmCode, dst int32) *vmFrame {
+	depth := len(wi.frames)
+	if depth == cap(wi.frames) {
+		wi.frames = append(wi.frames, vmFrame{})
+	} else {
+		wi.frames = wi.frames[:depth+1]
+	}
+	nf := &wi.frames[depth]
+	nf.regs.reset(cvc.numRegs)
+	nf.fn, nf.vc, nf.ip, nf.dst = callee, cvc, 0, dst
+	return nf
 }
 
 // run executes bytecode until the work-item suspends at a barrier,
@@ -74,7 +357,8 @@ frames:
 		f := &wi.frames[len(wi.frames)-1]
 		vc := f.vc
 		code := vc.code
-		regs := f.regs
+		regs := &f.regs
+		k, v := regs.kind, regs.val
 		ip := f.ip
 		for {
 			in := &code[ip]
@@ -86,13 +370,13 @@ frames:
 			case opJump:
 				ip = int(in.imm)
 			case opJumpFalse:
-				if !regs[in.a].truthy() {
+				if !wordTruthy(v[in.a], k[in.a]) {
 					ip = int(in.imm)
 				} else {
 					ip++
 				}
 			case opJumpTrue:
-				if regs[in.a].truthy() {
+				if wordTruthy(v[in.a], k[in.a]) {
 					ip = int(in.imm)
 				} else {
 					ip++
@@ -100,7 +384,7 @@ frames:
 			case opReturn, opReturnNil:
 				var rv rval
 				if in.op == opReturn {
-					rv = regs[in.a]
+					rv = regs.get(in.a, 0)
 				}
 				// Explicit returns (including bare "return;") convert to
 				// the declared return type; falling off the end does not.
@@ -113,7 +397,7 @@ frames:
 					wi.status = vmDone
 					return
 				}
-				wi.frames[len(wi.frames)-1].regs[dst] = rv
+				wi.frames[len(wi.frames)-1].regs.set(dst, 0, rv)
 				continue frames
 			case opErr:
 				wi.fail(vc.errTab[in.imm])
@@ -144,353 +428,201 @@ frames:
 				ip++
 
 			case opConstI:
-				regs[in.a] = intVal(in.imm)
+				k[in.a], v[in.a] = KInt, uint64(in.imm)
 				ip++
 			case opConstF:
-				regs[in.a] = floatVal(in.f)
+				k[in.a], v[in.a] = KFloat, fbits(in.f)
 				ip++
 			case opConstR:
-				regs[in.a] = vc.rvalTab[in.imm]
+				regs.set(in.a, 0, vc.rvalTab[in.imm])
 				ip++
 			case opMove:
-				regs[in.a] = regs[in.b]
+				regs.copyReg(in.a, regs, in.b, lane0)
 				ip++
 			case opConvert:
-				regs[in.a] = convert(regs[in.b], ValKind(in.c))
+				regs.convertReg(in.a, regs, in.b, ValKind(in.c), lane0)
 				ip++
 			case opBool:
-				if regs[in.b].truthy() {
-					regs[in.a] = intVal(1)
-				} else {
-					regs[in.a] = intVal(0)
-				}
+				k[in.a], v[in.a] = KInt, b2w(wordTruthy(v[in.b], k[in.b]))
 				ip++
 			case opStoreVar:
-				v := regs[in.b]
-				if cur := regs[in.a]; cur.k == KFloat || cur.k == KInt {
-					v = convert(v, cur.k)
-				}
-				regs[in.a] = v
+				regs.convertReg(in.a, regs, in.b, storeKind(k[in.a]), lane0)
 				ip++
 			case opIncVar:
-				old := regs[in.b]
-				var nv rval
-				if old.k == KFloat {
+				ob, kb := v[in.b], k[in.b]
+				var nv uint64
+				nk := KInt
+				if kb == KFloat {
 					ctr.FloatOps++
-					nv = floatVal(old.f + float64(in.imm))
+					nv, nk = fbits(math.Float64frombits(ob)+float64(in.imm)), KFloat
 				} else {
 					ctr.IntOps++
-					nv = intVal(old.i + in.imm)
+					nv = ob + uint64(in.imm)
 				}
-				regs[in.b] = nv
+				k[in.b], v[in.b] = nk, nv
 				if in.c != 0 {
-					regs[in.a] = old
+					// Postfix yields the old value in its own kind; a
+					// pointer's descriptor is still in b's column.
+					k[in.a], v[in.a] = kb, ob
+					if kb == KPtr {
+						regs.ptrs(in.a)[0] = regs.ptrs(in.b)[0]
+					}
 				} else {
-					regs[in.a] = nv
+					k[in.a], v[in.a] = nk, nv
 				}
 				ip++
 			case opIncVal:
-				old := regs[in.b]
-				if old.k == KFloat {
+				if k[in.b] == KFloat {
 					ctr.FloatOps++
-					regs[in.a] = floatVal(old.f + float64(in.imm))
+					k[in.a], v[in.a] = KFloat, fbits(math.Float64frombits(v[in.b])+float64(in.imm))
 				} else {
 					ctr.IntOps++
-					regs[in.a] = intVal(old.i + in.imm)
+					k[in.a], v[in.a] = KInt, v[in.b]+uint64(in.imm)
 				}
 				ip++
 
-			case opAdd:
-				l, r := regs[in.b], regs[in.c]
-				if l.k == KFloat || r.k == KFloat {
+			case opAdd, opSub, opMul, opDiv:
+				kb, kc := k[in.b], k[in.c]
+				lv, rv := v[in.b], v[in.c]
+				if kb == KFloat || kc == KFloat {
 					ctr.FloatOps++
-					regs[in.a] = floatVal(l.asFloat() + r.asFloat())
-				} else {
-					ctr.IntOps++
-					regs[in.a] = intVal(l.i + r.i)
-				}
-				ip++
-			case opSub:
-				l, r := regs[in.b], regs[in.c]
-				if l.k == KFloat || r.k == KFloat {
-					ctr.FloatOps++
-					regs[in.a] = floatVal(l.asFloat() - r.asFloat())
-				} else {
-					ctr.IntOps++
-					regs[in.a] = intVal(l.i - r.i)
-				}
-				ip++
-			case opMul:
-				l, r := regs[in.b], regs[in.c]
-				if l.k == KFloat || r.k == KFloat {
-					ctr.FloatOps++
-					regs[in.a] = floatVal(l.asFloat() * r.asFloat())
-				} else {
-					ctr.IntOps++
-					regs[in.a] = intVal(l.i * r.i)
-				}
-				ip++
-			case opDiv:
-				l, r := regs[in.b], regs[in.c]
-				if l.k == KFloat || r.k == KFloat {
-					ctr.FloatOps++
-					regs[in.a] = floatVal(l.asFloat() / r.asFloat())
-				} else {
-					ctr.IntOps++
-					if r.i == 0 {
-						wi.fail(errf(in.pos, "integer division by zero"))
-						return
+					a, b := wordF(lv, kb), wordF(rv, kc)
+					var r float64
+					switch in.op {
+					case opAdd:
+						r = a + b
+					case opSub:
+						r = a - b
+					case opMul:
+						r = a * b
+					default:
+						r = a / b
 					}
-					regs[in.a] = intVal(l.i / r.i)
+					k[in.a], v[in.a] = KFloat, fbits(r)
+				} else {
+					ctr.IntOps++
+					var r uint64
+					switch in.op {
+					case opAdd:
+						r = lv + rv
+					case opSub:
+						r = lv - rv
+					case opMul:
+						r = lv * rv
+					default:
+						if rv == 0 {
+							wi.fail(errf(in.pos, "integer division by zero"))
+							return
+						}
+						r = uint64(int64(lv) / int64(rv))
+					}
+					k[in.a], v[in.a] = KInt, r
 				}
 				ip++
 			case opMod:
-				l, r := regs[in.b], regs[in.c]
-				if l.k == KFloat || r.k == KFloat {
+				if k[in.b] == KFloat || k[in.c] == KFloat {
 					wi.fail(errf(in.pos, "%% requires integer operands"))
 					return
 				}
 				ctr.IntOps++
-				if r.i == 0 {
+				if v[in.c] == 0 {
 					wi.fail(errf(in.pos, "integer modulo by zero"))
 					return
 				}
-				regs[in.a] = intVal(l.i % r.i)
+				k[in.a], v[in.a] = KInt, uint64(int64(v[in.b])%int64(v[in.c]))
 				ip++
 			case opShl, opShr, opBitAnd, opBitOr, opBitXor:
-				l, r := regs[in.b], regs[in.c]
-				if l.k == KFloat || r.k == KFloat {
+				if k[in.b] == KFloat || k[in.c] == KFloat {
 					wi.fail(errf(in.pos, "bitwise operator on float"))
 					return
 				}
 				ctr.IntOps++
-				var v int64
-				switch in.op {
-				case opShl:
-					v = l.i << uint(r.i)
-				case opShr:
-					v = l.i >> uint(r.i)
-				case opBitAnd:
-					v = l.i & r.i
-				case opBitOr:
-					v = l.i | r.i
-				default:
-					v = l.i ^ r.i
-				}
-				regs[in.a] = intVal(v)
+				k[in.a], v[in.a] = KInt, bitOp(in.op-opShl, int64(v[in.b]), int64(v[in.c]))
 				ip++
 			case opEq, opNe, opLt, opGt, opLe, opGe:
-				l, r := regs[in.b], regs[in.c]
 				ctr.IntOps++
+				kb, kc := k[in.b], k[in.c]
 				var res bool
-				if l.k == KFloat || r.k == KFloat {
-					a, b := l.asFloat(), r.asFloat()
+				if kb == KFloat || kc == KFloat {
+					res = cmpFloats(int32(in.op-opEq), wordF(v[in.b], kb), wordF(v[in.c], kc))
+				} else {
+					res = cmpInts(int32(in.op-opEq), int64(v[in.b]), int64(v[in.c]))
+				}
+				k[in.a], v[in.a] = KInt, b2w(res)
+				ip++
+			case opAddImm, opSubImm, opRSubImm, opMulImm, opDivImm:
+				kb, lv := k[in.b], v[in.b]
+				if kb == KFloat {
+					ctr.FloatOps++
+					a, b := math.Float64frombits(lv), float64(in.imm)
+					var r float64
 					switch in.op {
-					case opEq:
-						res = a == b
-					case opNe:
-						res = a != b
-					case opLt:
-						res = a < b
-					case opGt:
-						res = a > b
-					case opLe:
-						res = a <= b
+					case opAddImm:
+						r = a + b
+					case opSubImm:
+						r = a - b
+					case opRSubImm:
+						r = b - a
+					case opMulImm:
+						r = a * b
 					default:
-						res = a >= b
+						r = a / b
 					}
+					k[in.a], v[in.a] = KFloat, fbits(r)
 				} else {
-					a, b := l.i, r.i
+					ctr.IntOps++
+					a, b := int64(lv), in.imm
+					var r int64
 					switch in.op {
-					case opEq:
-						res = a == b
-					case opNe:
-						res = a != b
-					case opLt:
-						res = a < b
-					case opGt:
-						res = a > b
-					case opLe:
-						res = a <= b
+					case opAddImm:
+						r = a + b
+					case opSubImm:
+						r = a - b
+					case opRSubImm:
+						r = b - a
+					case opMulImm:
+						r = a * b
 					default:
-						res = a >= b
+						r = a / b
 					}
-				}
-				if res {
-					regs[in.a] = intVal(1)
-				} else {
-					regs[in.a] = intVal(0)
-				}
-				ip++
-			case opAddImm:
-				l := regs[in.b]
-				if l.k == KFloat {
-					ctr.FloatOps++
-					regs[in.a] = floatVal(l.f + float64(in.imm))
-				} else {
-					ctr.IntOps++
-					regs[in.a] = intVal(l.i + in.imm)
-				}
-				ip++
-			case opSubImm:
-				l := regs[in.b]
-				if l.k == KFloat {
-					ctr.FloatOps++
-					regs[in.a] = floatVal(l.f - float64(in.imm))
-				} else {
-					ctr.IntOps++
-					regs[in.a] = intVal(l.i - in.imm)
-				}
-				ip++
-			case opRSubImm:
-				l := regs[in.b]
-				if l.k == KFloat {
-					ctr.FloatOps++
-					regs[in.a] = floatVal(float64(in.imm) - l.f)
-				} else {
-					ctr.IntOps++
-					regs[in.a] = intVal(in.imm - l.i)
-				}
-				ip++
-			case opMulImm:
-				l := regs[in.b]
-				if l.k == KFloat {
-					ctr.FloatOps++
-					regs[in.a] = floatVal(l.f * float64(in.imm))
-				} else {
-					ctr.IntOps++
-					regs[in.a] = intVal(l.i * in.imm)
-				}
-				ip++
-			case opDivImm:
-				l := regs[in.b]
-				if l.k == KFloat {
-					ctr.FloatOps++
-					regs[in.a] = floatVal(l.f / float64(in.imm))
-				} else {
-					ctr.IntOps++
-					regs[in.a] = intVal(l.i / in.imm)
+					k[in.a], v[in.a] = KInt, uint64(r)
 				}
 				ip++
 			case opModImm:
-				l := regs[in.b]
-				if l.k == KFloat {
+				if k[in.b] == KFloat {
 					wi.fail(errf(in.pos, "%% requires integer operands"))
 					return
 				}
 				ctr.IntOps++
-				regs[in.a] = intVal(l.i % in.imm)
+				k[in.a], v[in.a] = KInt, uint64(int64(v[in.b])%in.imm)
 				ip++
 			case opShlImm, opShrImm, opBitAndImm, opBitOrImm, opBitXorImm:
-				l := regs[in.b]
-				if l.k == KFloat {
+				if k[in.b] == KFloat {
 					wi.fail(errf(in.pos, "bitwise operator on float"))
 					return
 				}
 				ctr.IntOps++
-				var v int64
-				switch in.op {
-				case opShlImm:
-					v = l.i << uint(in.imm)
-				case opShrImm:
-					v = l.i >> uint(in.imm)
-				case opBitAndImm:
-					v = l.i & in.imm
-				case opBitOrImm:
-					v = l.i | in.imm
-				default:
-					v = l.i ^ in.imm
-				}
-				regs[in.a] = intVal(v)
+				k[in.a], v[in.a] = KInt, bitOp(in.op-opShlImm, int64(v[in.b]), in.imm)
 				ip++
 			case opEqImm, opNeImm, opLtImm, opGtImm, opLeImm, opGeImm:
-				l := regs[in.b]
 				ctr.IntOps++
 				var res bool
-				if l.k == KFloat {
-					a, b := l.f, float64(in.imm)
-					switch in.op {
-					case opEqImm:
-						res = a == b
-					case opNeImm:
-						res = a != b
-					case opLtImm:
-						res = a < b
-					case opGtImm:
-						res = a > b
-					case opLeImm:
-						res = a <= b
-					default:
-						res = a >= b
-					}
+				if k[in.b] == KFloat {
+					res = cmpFloats(int32(in.op-opEqImm), math.Float64frombits(v[in.b]), float64(in.imm))
 				} else {
-					a, b := l.i, in.imm
-					switch in.op {
-					case opEqImm:
-						res = a == b
-					case opNeImm:
-						res = a != b
-					case opLtImm:
-						res = a < b
-					case opGtImm:
-						res = a > b
-					case opLeImm:
-						res = a <= b
-					default:
-						res = a >= b
-					}
+					res = cmpInts(int32(in.op-opEqImm), int64(v[in.b]), in.imm)
 				}
-				if res {
-					regs[in.a] = intVal(1)
-				} else {
-					regs[in.a] = intVal(0)
-				}
+				k[in.a], v[in.a] = KInt, b2w(res)
 				ip++
 
 			case opBrCmpFalse, opBrCmpFalseImm:
-				l := regs[in.a]
-				var r rval
+				kl, lv := k[in.a], v[in.a]
+				kr, rv := KInt, uint64(in.imm)
 				if in.op == opBrCmpFalse {
-					r = regs[in.b]
-				} else {
-					r = intVal(in.imm)
+					kr, rv = k[in.b], v[in.b]
 				}
 				ctr.IntOps++
-				kind := in.d & 0xff
-				var res bool
-				if l.k == KFloat || r.k == KFloat {
-					a, b := l.asFloat(), r.asFloat()
-					switch kind {
-					case cmpEq:
-						res = a == b
-					case cmpNe:
-						res = a != b
-					case cmpLt:
-						res = a < b
-					case cmpGt:
-						res = a > b
-					case cmpLe:
-						res = a <= b
-					default:
-						res = a >= b
-					}
-				} else {
-					a, b := l.i, r.i
-					switch kind {
-					case cmpEq:
-						res = a == b
-					case cmpNe:
-						res = a != b
-					case cmpLt:
-						res = a < b
-					case cmpGt:
-						res = a > b
-					case cmpLe:
-						res = a <= b
-					default:
-						res = a >= b
-					}
-				}
+				res := brCmpRes(in.d&0xff, kl, lv, kr, rv)
 				cb := (in.d >> 8) & 0xff // mask off the brUniform hint bit
 				if cb == cbIterBranch {
 					ctr.Branches++
@@ -508,173 +640,114 @@ frames:
 				}
 
 			case opNeg:
-				v := regs[in.b]
-				if v.k == KFloat {
+				if k[in.b] == KFloat {
 					ctr.FloatOps++
-					regs[in.a] = floatVal(-v.f)
+					k[in.a], v[in.a] = KFloat, fbits(-math.Float64frombits(v[in.b]))
 				} else {
 					ctr.IntOps++
-					regs[in.a] = intVal(-v.i)
+					k[in.a], v[in.a] = KInt, -v[in.b]
 				}
 				ip++
 			case opNot:
 				ctr.IntOps++
-				if regs[in.b].truthy() {
-					regs[in.a] = intVal(0)
-				} else {
-					regs[in.a] = intVal(1)
-				}
+				k[in.a], v[in.a] = KInt, b2w(!wordTruthy(v[in.b], k[in.b]))
 				ip++
 			case opBitNot:
 				ctr.IntOps++
-				regs[in.a] = intVal(^regs[in.b].asInt())
+				k[in.a], v[in.a] = KInt, uint64(^wordI(v[in.b], k[in.b]))
 				ip++
 
 			case opCheckPtr:
-				if v := regs[in.a]; v.k != KPtr || v.mem == nil {
+				if k[in.a] != KPtr || regs.ptrs(in.a)[0].mem == nil {
 					wi.fail(errf(in.pos, "subscript of non-pointer value"))
 					return
 				}
 				ip++
 			case opCheck2D:
-				if regs[in.a].dim1 <= 0 {
+				if k[in.a] != KPtr || regs.ptrs(in.a)[0].dim1 <= 0 {
 					wi.fail(errf(in.pos, "2-D subscript of 1-D array"))
 					return
 				}
 				ip++
-			case opLoad1:
-				base := regs[in.b]
-				if base.k != KPtr || base.mem == nil {
+			case opLoad1, opLoad2, opStore1, opStore2:
+				// Operand roles: loads address through b (indices c[, d])
+				// into a; stores address through a (indices b[, c]) from
+				// c or d.
+				isLoad := in.op == opLoad1 || in.op == opLoad2
+				is2D := in.op == opLoad2 || in.op == opStore2
+				base, i0, i1, src := in.a, in.b, in.c, in.c
+				if isLoad {
+					base, i0, i1 = in.b, in.c, in.d
+				} else if is2D {
+					src = in.d
+				}
+				if k[base] != KPtr || regs.ptrs(base)[0].mem == nil {
 					wi.fail(errf(in.pos, "subscript of non-pointer value"))
 					return
 				}
-				off := base.off + regs[in.c].asInt()
-				wi.w.countAccess(base.mem, off, int(in.imm), false)
-				rv, err := base.mem.load(off)
-				if err != nil {
-					wi.fail(err)
-					return
+				p := regs.ptrs(base)[0]
+				off := wordI(v[i0], k[i0])
+				if is2D {
+					if p.dim1 <= 0 {
+						wi.fail(errf(in.pos, "2-D subscript of 1-D array"))
+						return
+					}
+					off = off*p.dim1 + wordI(v[i1], k[i1])
+					ctr.IntOps++ // row-major address computation
 				}
-				regs[in.a] = rv
-				ip++
-			case opLoad2:
-				base := regs[in.b]
-				if base.k != KPtr || base.mem == nil {
-					wi.fail(errf(in.pos, "subscript of non-pointer value"))
-					return
-				}
-				if base.dim1 <= 0 {
-					wi.fail(errf(in.pos, "2-D subscript of 1-D array"))
-					return
-				}
-				off := base.off + regs[in.c].asInt()*base.dim1 + regs[in.d].asInt()
-				ctr.IntOps++ // row-major address computation
-				wi.w.countAccess(base.mem, off, int(in.imm), false)
-				rv, err := base.mem.load(off)
-				if err != nil {
-					wi.fail(err)
-					return
-				}
-				regs[in.a] = rv
-				ip++
-			case opStore1:
-				base := regs[in.a]
-				if base.k != KPtr || base.mem == nil {
-					wi.fail(errf(in.pos, "subscript of non-pointer value"))
-					return
-				}
-				off := base.off + regs[in.b].asInt()
-				wi.w.countAccess(base.mem, off, int(in.imm), true)
-				if err := base.mem.store(off, regs[in.c]); err != nil {
-					wi.fail(err)
-					return
-				}
-				ip++
-			case opStore2:
-				base := regs[in.a]
-				if base.k != KPtr || base.mem == nil {
-					wi.fail(errf(in.pos, "subscript of non-pointer value"))
-					return
-				}
-				if base.dim1 <= 0 {
-					wi.fail(errf(in.pos, "2-D subscript of 1-D array"))
-					return
-				}
-				off := base.off + regs[in.b].asInt()*base.dim1 + regs[in.c].asInt()
-				ctr.IntOps++
-				wi.w.countAccess(base.mem, off, int(in.imm), true)
-				if err := base.mem.store(off, regs[in.d]); err != nil {
+				wi.w.countAccess(p.mem, off, int(in.imm), !isLoad)
+				if isLoad {
+					w, wk, ok := p.mem.loadWord(off)
+					if !ok {
+						wi.fail(p.mem.rangeErr("load", off))
+						return
+					}
+					k[in.a], v[in.a] = wk, w
+				} else if err := p.mem.storeWord(off, v[src], k[src]); err != nil {
 					wi.fail(err)
 					return
 				}
 				ip++
 			case opCheckDim:
-				if v := regs[in.a].asInt(); v <= 0 {
-					d := vc.declTab[in.imm]
-					wi.fail(fmt.Errorf("oclc: %s: array %q dimension %d is %d", d.Pos, d.Name, int(in.c), v))
+				if d := wordI(v[in.a], k[in.a]); d <= 0 {
+					decl := vc.declTab[in.imm]
+					wi.fail(fmt.Errorf("oclc: %s: array %q dimension %d is %d", decl.Pos, decl.Name, int(in.c), d))
 					return
 				}
 				ip++
 			case opArray:
-				d := vc.declTab[in.imm]
-				d0 := regs[in.b].asInt()
-				size := d0
+				d0 := wordI(v[in.b], k[in.b])
 				var d1 int64
 				if in.c >= 0 {
-					d1 = regs[in.c].asInt()
-					size *= d1
+					d1 = wordI(v[in.c], k[in.c])
 				}
-				const elemBytes = 4
-				var mem *Memory
-				if d.Type.Space == SpaceLocal {
-					var err error
-					mem, err = wi.w.wg.localAlloc(d, d.Type.Kind, elemBytes, size)
-					if err != nil {
-						wi.fail(err)
-						return
-					}
-				} else {
-					mem = &Memory{Space: SpacePrivate, Elem: d.Type.Kind, ElemBytes: elemBytes, Data: make([]float64, size)}
-				}
-				ptr := rval{k: KPtr, mem: mem}
-				if in.c >= 0 {
-					ptr.dim1 = d1
-				}
-				regs[in.a] = ptr
-				ip++
-
-			case opWIQuery:
-				var v int64
-				d := int(in.c)
-				switch in.b {
-				case wqGlobalID:
-					v = wi.w.gid[d]
-				case wqLocalID:
-					v = wi.w.lid[d]
-				case wqGroupID:
-					v = wi.w.wg.grp[d]
-				case wqGlobalSize:
-					v = wi.w.wg.launch.Global[d]
-				case wqLocalSize:
-					v = wi.w.wg.launch.Local[d]
-				case wqNumGroups:
-					v = wi.w.wg.launch.Global[d] / wi.w.wg.launch.Local[d]
-				default: // wqWorkDim
-					v = int64(wi.w.wg.launch.Dims())
-				}
-				regs[in.a] = intVal(v)
-				ip++
-			case opFMA:
-				ctr.FMAs++
-				regs[in.a] = floatVal(regs[in.b].asFloat()*regs[in.c].asFloat() + regs[in.d].asFloat())
-				ip++
-			case opCallBuiltin:
-				rv, err := vc.builtins[in.imm](&wi.w, vc.callTab[in.imm], regs[in.b:in.b+in.c])
+				mem, err := allocArray(&wi.w, vc.declTab[in.imm], d0, d1, in.c >= 0)
 				if err != nil {
 					wi.fail(err)
 					return
 				}
-				regs[in.a] = rv
+				regs.setPtr(in.a, 0, mem, d1)
+				ip++
+
+			case opWIQuery:
+				k[in.a], v[in.a] = KInt, uint64(wi.w.query(int(in.b), int(in.c)))
+				ip++
+			case opFMA:
+				ctr.FMAs++
+				k[in.a], v[in.a] = KFloat, fbits(wordF(v[in.b], k[in.b])*wordF(v[in.c], k[in.c])+wordF(v[in.d], k[in.d]))
+				ip++
+			case opCallBuiltin:
+				args := resize(wi.args, int(in.c))
+				wi.args = args
+				for i := range args {
+					args[i] = regs.get(in.b+int32(i), 0)
+				}
+				rv, err := vc.builtins[in.imm](&wi.w, vc.callTab[in.imm], args)
+				if err != nil {
+					wi.fail(err)
+					return
+				}
+				regs.set(in.a, 0, rv)
 				ip++
 			case opCallFn:
 				callee := vc.fnTab[in.imm]
@@ -683,32 +756,16 @@ frames:
 					cvc = callee.vmNoSpec
 				}
 				ctr.Calls++
-				depth := len(wi.frames)
-				if depth >= vmMaxDepth {
+				if len(wi.frames) >= vmMaxDepth {
 					wi.fail(errf(in.pos, "call depth exceeded"))
 					return
 				}
 				f.ip = ip + 1
-				// Reuse the frame (and its register file) pooled at this
-				// depth by an earlier call; reuse without zeroing is sound
-				// because every register is written before it is read:
-				// parameters by the copy below, variables by their
-				// declaration's zero/init instructions, temporaries by the
-				// expression that defines them.
-				if depth == cap(wi.frames) {
-					wi.frames = append(wi.frames, vmFrame{})
-				} else {
-					wi.frames = wi.frames[:depth+1]
-				}
-				nf := &wi.frames[depth]
-				if cap(nf.regs) >= cvc.numRegs {
-					nf.regs = nf.regs[:cvc.numRegs]
-				} else {
-					nf.regs = make([]rval, cvc.numRegs)
-				}
-				nf.fn, nf.vc, nf.ip, nf.dst = callee, cvc, 0, in.a
+				nf := wi.pushFrame(callee, cvc, in.a)
+				// wi.frames may have moved: re-read the caller's file.
+				caller := &wi.frames[len(wi.frames)-2].regs
 				for i := range callee.Params {
-					nf.regs[callee.Params[i].Slot] = regs[int(in.b)+i]
+					nf.regs.copyReg(int32(callee.Params[i].Slot), caller, in.b+int32(i), lane0)
 				}
 				continue frames
 
@@ -720,12 +777,80 @@ frames:
 	}
 }
 
+// storeKind is the conversion opStoreVar applies for a slot currently of
+// kind k: scalar slots keep their kind, any other slot takes the value as
+// is (convert to KVoid is the identity).
+func storeKind(k ValKind) ValKind {
+	if k == KFloat || k == KInt {
+		return k
+	}
+	return KVoid
+}
+
+// b2w is a comparison result as an int payload.
+func b2w(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// bitOp applies the shift/bitwise operator at offset op from opShl (or
+// opShlImm; both groups share the order shl, shr, and, or, xor).
+func bitOp(op opcode, a, b int64) uint64 {
+	switch op {
+	case 0:
+		return uint64(a << uint(b))
+	case 1:
+		return uint64(a >> uint(b))
+	case 2:
+		return uint64(a & b)
+	case 3:
+		return uint64(a | b)
+	default:
+		return uint64(a ^ b)
+	}
+}
+
+// query answers a work-item query (opWIQuery operand b) at dimension d.
+func (w *wiCtx) query(q, d int) int64 {
+	switch q {
+	case wqGlobalID:
+		return w.gid[d]
+	case wqLocalID:
+		return w.lid[d]
+	case wqGroupID:
+		return w.wg.grp[d]
+	case wqGlobalSize:
+		return w.wg.launch.Global[d]
+	case wqLocalSize:
+		return w.wg.launch.Local[d]
+	case wqNumGroups:
+		return w.wg.launch.Global[d] / w.wg.launch.Local[d]
+	default: // wqWorkDim
+		return int64(w.wg.launch.Dims())
+	}
+}
+
+// allocArray creates the storage of one array declaration with dimensions
+// d0 (× d1 when twoD): the group's shared tile for __local arrays, a
+// fresh private buffer otherwise.
+func allocArray(w *wiCtx, d *VarDecl, d0, d1 int64, twoD bool) (*Memory, error) {
+	size := d0
+	if twoD {
+		size *= d1
+	}
+	const elemBytes = 4
+	if d.Type.Space == SpaceLocal {
+		return w.wg.localAlloc(d, d.Type.Kind, elemBytes, size)
+	}
+	return &Memory{Space: SpacePrivate, Elem: d.Type.Kind, ElemBytes: elemBytes, Data: make([]float64, size)}, nil
+}
+
 // vmScheduler owns the per-launch execution state for the VM engine. All
-// scratch — work-item records, the kernel-frame register arena, pooled
-// call frames — is allocated once per Launch and reused across every
-// work-group; the profile-visible cost of the naive version was GC
-// write-barrier traffic from re-allocating pointer-bearing []rval files
-// per group.
+// scratch — work-item records and their pooled frames and register files —
+// is allocated once and reused across every work-group and, through
+// vmSchedPool, across launches.
 type vmScheduler struct {
 	p       *Program
 	fn      *Function
@@ -733,13 +858,11 @@ type vmScheduler struct {
 	variant Engine
 	args    []Arg
 	wis     []vmWI
-	arena   []rval // n × numRegs kernel-frame registers
 
 	// Lockstep-vectorized execution state (vmvec.go), used only while
-	// variant == EngineVMVec. The kernel-frame SoA register file reuses
-	// arena (same size, column-major layout); deeper call frames and the
-	// lane bookkeeping are pooled here across launches like everything
-	// else.
+	// variant == EngineVMVec. The vector frames and their register files
+	// and the lane bookkeeping are pooled here across launches like
+	// everything else.
 	width      int
 	lanes      []int  // active lanes, ascending
 	laneActive []bool // lane liveness, indexed by linear local id
@@ -747,8 +870,8 @@ type vmScheduler struct {
 	diedInSeg  []int  // lanes that failed during the current segment
 	lanesDirty bool
 	vframes    []vecFrame
-	scatArena  []rval     // n × numRegs scalar kernel-frame registers for scattered lanes
-	argBuf     []rval     // per-lane builtin argument gather scratch
+	argBuf     []rval     // builtin argument gather scratch
+	offBuf     []int64    // per-lane element offsets (vecMem)
 	ctrs       []Counters // borrowed per-group counters (Launch scratch)
 	laneErrs   []error    // borrowed per-group errors (Launch scratch)
 	groupDiv   bool
@@ -764,62 +887,36 @@ type vmScheduler struct {
 	// scalar engine's per-item increment/fail order.
 	segCtr Counters
 
-	// vecArenaVC/vecArenaW identify the (code, width) whose SoA column
-	// layout the pooled arena currently holds, nil/0 after any scalar
-	// launch. Scalar launches slice the same arena per work-item (AoS), so
-	// a vec launch inheriting such an arena would see kind-divergent junk
-	// in not-yet-written variable slots — harmless for execution (registers
-	// are written before read) but fatal for tryGather, whose per-register
-	// kind-agreement check cannot tell live state from junk. newVMScheduler
-	// clears the arena once on every layout transition so junk is a
-	// uniform KVoid.
-	vecArenaVC *vmCode
-	vecArenaW  int
-
 	vecDispatches int64 // group-level instruction dispatches (metrics)
 	vecLaneExecs  int64 // per-lane instructions retired in vector mode
 }
 
 // vmSchedPool recycles schedulers across launches: the tuning loop
-// launches the same kernel thousands of times, and the register arena was
-// the dominant allocation per evaluation. Pool entries keep their pooled
-// call frames too, so steady-state launches allocate nothing per group.
+// launches the same kernel thousands of times, and the register files
+// were the dominant allocation per evaluation. Pool entries keep their
+// pooled call frames too, so steady-state launches allocate nothing per
+// group.
 var vmSchedPool sync.Pool
 
 func newVMScheduler(p *Program, fn *Function, vc *vmCode, variant Engine, args []Arg, n int) *vmScheduler {
-	regs := n * vc.numRegs
 	if v := vmSchedPool.Get(); v != nil {
 		s := v.(*vmScheduler)
-		if cap(s.wis) >= n && cap(s.arena) >= regs {
+		if cap(s.wis) >= n {
 			s.p, s.fn, s.vc, s.variant, s.args = p, fn, vc, variant, args
 			s.wis = s.wis[:n]
-			s.arena = s.arena[:regs]
-			if variant == EngineVMVec {
-				if s.vecArenaVC != vc || s.vecArenaW != n {
-					clear(s.arena)
-					s.vecArenaVC, s.vecArenaW = vc, n
-				}
-			} else {
-				s.vecArenaVC, s.vecArenaW = nil, 0
-			}
 			return s
 		}
 	}
-	s := &vmScheduler{
+	return &vmScheduler{
 		p: p, fn: fn, vc: vc, variant: variant, args: args,
-		wis:   make([]vmWI, n),
-		arena: make([]rval, regs),
+		wis: make([]vmWI, n),
 	}
-	if variant == EngineVMVec {
-		s.vecArenaVC, s.vecArenaW = vc, n
-	}
-	return s
 }
 
 // release returns the scheduler to the pool. The caller must not use it
-// afterwards; buffer references in the arena are dropped lazily (the pool
-// is emptied by the next GC cycle). Locally accumulated vector metrics
-// are published here, once per launch.
+// afterwards; buffer references in the register files are dropped lazily
+// (the pool is emptied by the next GC cycle). Locally accumulated vector
+// metrics are published here, once per launch.
 func (s *vmScheduler) release() {
 	if s.vecDispatches > 0 {
 		mVecDispatches.Add(uint64(s.vecDispatches))
@@ -831,29 +928,18 @@ func (s *vmScheduler) release() {
 	vmSchedPool.Put(s)
 }
 
-// runGroup executes one work-group's work-items cooperatively on the
-// calling goroutine, replicating cyclicBarrier's semantics exactly —
-// including the divergence flag: a work-item finishing while others wait
-// at a barrier marks divergence and releases them. Work-items run in
-// linear-local-id order between synchronization points; barrier-correct
-// kernels cannot observe the difference from the walker's concurrent
-// goroutines, and Counters are per-work-item either way.
-func (s *vmScheduler) runGroup(wg *wgCtx, agg *Counters, counters []Counters, errs []error) (bool, int64, error) {
-	if s.variant == EngineVMVec {
-		return s.runGroupVec(wg, agg, counters, errs)
-	}
-	fn, vc := s.fn, s.vc
+// initWIs resets every work-item record of the group for a fresh run.
+func (s *vmScheduler) initWIs(wg *wgCtx, counters []Counters, errs []error) {
 	n := int(wg.launch.WorkGroupSize())
 	for i := 0; i < n; i++ {
 		counters[i] = Counters{}
 		errs[i] = nil
 	}
-	wis := s.wis
 	lin := 0
 	for lz := int64(0); lz < wg.launch.Local[2]; lz++ {
 		for ly := int64(0); ly < wg.launch.Local[1]; ly++ {
 			for lx := int64(0); lx < wg.launch.Local[0]; lx++ {
-				wi := &wis[lin]
+				wi := &s.wis[lin]
 				wi.w = wiCtx{
 					prog: s.p,
 					wg:   wg,
@@ -869,22 +955,37 @@ func (s *vmScheduler) runGroup(wg *wgCtx, agg *Counters, counters []Counters, er
 				wi.status = vmRunning
 				wi.err = nil
 				wi.icount = 0
-				// Arena registers are reused across groups un-zeroed:
-				// arguments are rewritten here (a kernel may assign to a
-				// parameter slot), and every other register is written
-				// before read (declarations zero/init, temporaries are
-				// defined by their expression).
-				regs := s.arena[lin*vc.numRegs : (lin+1)*vc.numRegs]
-				for i, a := range s.args {
-					regs[fn.Params[i].Slot] = argToRval(a)
-				}
-				if cap(wi.frames) == 0 {
-					wi.frames = make([]vmFrame, 0, 4)
-				}
-				wi.frames = wi.frames[:1]
-				wi.frames[0] = vmFrame{fn: fn, vc: vc, regs: regs}
 				lin++
 			}
+		}
+	}
+}
+
+// runGroup executes one work-group's work-items cooperatively on the
+// calling goroutine, replicating cyclicBarrier's semantics exactly —
+// including the divergence flag: a work-item finishing while others wait
+// at a barrier marks divergence and releases them. Work-items run in
+// linear-local-id order between synchronization points; barrier-correct
+// kernels cannot observe the difference from the walker's concurrent
+// goroutines, and Counters are per-work-item either way.
+func (s *vmScheduler) runGroup(wg *wgCtx, agg *Counters, counters []Counters, errs []error) (bool, int64, error) {
+	if s.variant == EngineVMVec {
+		return s.runGroupVec(wg, agg, counters, errs)
+	}
+	fn, vc := s.fn, s.vc
+	n := int(wg.launch.WorkGroupSize())
+	s.initWIs(wg, counters, errs)
+	wis := s.wis
+	for i := range wis {
+		wi := &wis[i]
+		// Kernel frames are reused across groups un-zeroed: arguments
+		// are rewritten here (a kernel may assign to a parameter slot),
+		// and every other register is written before read (declarations
+		// zero/init, temporaries are defined by their expression).
+		wi.frames = wi.frames[:0]
+		f := wi.pushFrame(fn, vc, 0)
+		for j, a := range s.args {
+			f.regs.set(int32(fn.Params[j].Slot), 0, argToRval(a))
 		}
 	}
 

@@ -6,10 +6,22 @@ package oclc
 // but it still pays one full dispatch loop per work-item: for a 64-item
 // group, every instruction is fetched, decoded, and switched on 64 times.
 // This engine executes the group in lockstep instead — one dispatch per
-// instruction per *group* — over structure-of-arrays register files:
-// register r of lane l lives at regs[r*width+l], so each operand index
-// addresses a contiguous [width]rval column and the per-lane work inside a
-// case is a tight loop over the active-lane list.
+// instruction per *group* — over structure-of-arrays register files
+// (vmRegs, vm.go) of the group's width w:
+//
+//   - one kind per register, shared by all lanes;
+//   - one payload column per register: register r of lane l is the 8-byte
+//     word val[r*w+l] (int64 or float64 bits), so each operand index
+//     addresses a contiguous, pointer-free [w]uint64 column and the
+//     per-lane work inside a case is a tight loop over machine words;
+//   - per-lane pointer descriptors (buffer, second-dimension extent) in a
+//     side table that only registers which ever hold a pointer get.
+//
+// Kind-dependent decisions (float-vs-int promotion, opStoreVar's target
+// kind, pointer checks) are made once per instruction from the register
+// kinds, outside the lane loops. When every lane is active the hot
+// opcodes run a dense loop over the columns instead of indexing through
+// the active-lane list.
 //
 // Divergence. Lockstep only works while every active lane agrees on the
 // next instruction. The only instructions that can disagree are the
@@ -17,26 +29,27 @@ package oclc
 // the compiler proved work-item-ID-independent (uniform.go) carry a hint
 // and are decided once per group; unhinted branches evaluate the condition
 // per lane — side-effect-free — and, when lanes disagree, the group
-// *scatters*: each live lane's column state is copied into the ordinary
-// per-item vmWI frames (with the branch itself unexecuted) and the scalar
-// cooperative scheduler takes over. At the next barrier release the
-// scheduler attempts to *re-gather*: if the lanes converged back to an
-// identical frame stack with per-register kind agreement, their state is
-// copied back into columns and lockstep resumes.
+// *scatters*: each live lane's payload words, the register kinds and the
+// lane's pointer descriptors are copied into the ordinary per-item vmWI
+// frames (w = 1 files of the same layout, with the branch itself
+// unexecuted) and the scalar cooperative scheduler takes over. At the next
+// barrier release the scheduler attempts to *re-gather*: if the lanes
+// converged back to an identical frame stack with per-register kind
+// agreement — one comparison of the kind slices per frame — their words
+// are copied back into columns and lockstep resumes.
 //
 // Equivalence. Bit-for-bit agreement with the scalar VM (and the walker)
 // is load-bearing — differential_test.go compares buffers, Counters,
 // error text, and the divergence flag across engines:
 //
 //   - Kind uniformity: starting from uniform frames, every register's
-//     scalar kind (.k) is identical across active lanes after every
+//     scalar kind is identical across active lanes after every
 //     instruction — kernel arguments are group-uniform, every opcode
 //     derives its result kind from operand kinds (never values), and
 //     per-lane results (loads, queries, builtins) have kind fixed by the
-//     instruction. Kind-dependent decisions (float-vs-int promotion,
-//     opStoreVar's target kind) are therefore hoisted to the first active
-//     lane, and the re-gather check only needs per-register kind
-//     agreement, not value agreement.
+//     instruction. This is what makes one kind per register exact, and
+//     the re-gather check only needs per-register kind agreement, not
+//     value agreement.
 //   - Counters are per-lane either way; hoisting never skips a bump.
 //   - Lane deaths (errors, and completions while others wait) must raise
 //     the walker's divergence flag exactly as the scalar scheduler does.
@@ -60,6 +73,10 @@ package oclc
 
 import (
 	"fmt"
+	"math"
+	"slices"
+	"sync/atomic"
+	"unsafe"
 
 	"atf/internal/obs"
 )
@@ -82,15 +99,15 @@ var (
 		[]float64{1, 2, 4, 8, 16, 32, 64, 128, 256})
 )
 
-// vecFrame is one vectorized activation record: the SoA register file for
-// every lane of the group plus the shared resume point. Frame 0 reuses the
-// scheduler's arena; deeper frames pool their columns across calls.
+// vecFrame is one vectorized activation record: the register file for
+// every lane of the group plus the shared resume point. Frames are pooled
+// with the scheduler, register files included.
 type vecFrame struct {
 	fn   *Function
 	vc   *vmCode
-	regs []rval // SoA: register r of lane l at regs[r*width+l]
+	regs vmRegs // w = group width
 	ip   int
-	dst  int32 // caller register column receiving the return value
+	dst  int32 // caller register receiving the return value
 }
 
 // vmDying marks a lane that failed during the current vector segment when
@@ -105,48 +122,17 @@ const vmDying vmStatus = 255
 func (s *vmScheduler) runGroupVec(wg *wgCtx, agg *Counters, counters []Counters, errs []error) (bool, int64, error) {
 	fn, vc := s.fn, s.vc
 	n := int(wg.launch.WorkGroupSize())
-	for i := 0; i < n; i++ {
-		counters[i] = Counters{}
-		errs[i] = nil
-	}
+	s.initWIs(wg, counters, errs)
 	wis := s.wis
-	lin := 0
-	for lz := int64(0); lz < wg.launch.Local[2]; lz++ {
-		for ly := int64(0); ly < wg.launch.Local[1]; ly++ {
-			for lx := int64(0); lx < wg.launch.Local[0]; lx++ {
-				wi := &wis[lin]
-				wi.w = wiCtx{
-					prog: s.p,
-					wg:   wg,
-					ctr:  &counters[lin],
-					lid:  [3]int64{lx, ly, lz},
-					gid: [3]int64{
-						wg.grp[0]*wg.launch.Local[0] + lx,
-						wg.grp[1]*wg.launch.Local[1] + ly,
-						wg.grp[2]*wg.launch.Local[2] + lz,
-					},
-					lin: lin,
-				}
-				wi.status = vmRunning
-				wi.err = nil
-				wi.icount = 0
-				lin++
-			}
-		}
-	}
 
-	// Vector state: all lanes live, one segment, frame 0 over the arena.
+	// Vector state: all lanes live, one segment, frame 0.
 	s.width = n
 	s.ctrs = counters
 	s.laneErrs = errs
 	s.groupDiv = false
 	s.lanesDirty = false
 	s.segCtr = Counters{}
-	if cap(s.laneActive) >= n {
-		s.laneActive = s.laneActive[:n]
-	} else {
-		s.laneActive = make([]bool, n)
-	}
+	s.laneActive = resize(s.laneActive, n)
 	s.lanes = s.lanes[:0]
 	s.segLanes = s.segLanes[:0]
 	s.diedInSeg = s.diedInSeg[:0]
@@ -155,21 +141,24 @@ func (s *vmScheduler) runGroupVec(wg *wgCtx, agg *Counters, counters []Counters,
 		s.lanes = append(s.lanes, i)
 		s.segLanes = append(s.segLanes, i)
 	}
-	for cap(s.vframes) < 1 {
-		s.vframes = append(s.vframes[:cap(s.vframes)], vecFrame{})
+	if cap(s.vframes) < 1 {
+		s.vframes = make([]vecFrame, 1, 4)
 	}
 	s.vframes = s.vframes[:1]
 	f0 := &s.vframes[0]
 	f0.fn, f0.vc, f0.ip, f0.dst = fn, vc, 0, 0
-	f0.regs = s.arena[:n*vc.numRegs]
-	// Arena columns are reused across groups un-zeroed, same argument as
-	// the scalar scheduler: arguments are rewritten here and every other
-	// register is written before read.
+	// Frame-0 registers are reused across groups un-zeroed, same argument
+	// as the scalar scheduler: arguments are rewritten here and every
+	// other register is written before read.
+	f0.regs.resetLanes(vc.numRegs, n)
 	for i, a := range s.args {
-		col := f0.regs[fn.Params[i].Slot*n:]
+		slot := int32(fn.Params[i].Slot)
 		rv := argToRval(a)
 		for l := 0; l < n; l++ {
-			col[l] = rv
+			f0.regs.set(slot, l, rv)
+		}
+		if rv.k == KPtr {
+			f0.regs.blk[slot] = sharedBlock(rv.mem, rv.dim1)
 		}
 	}
 
@@ -224,6 +213,14 @@ func (s *vmScheduler) laneFail(l int, err error) {
 	wi.status = vmDone
 	s.diedInSeg = append(s.diedInSeg, l)
 	s.lanesDirty = true
+}
+
+// failAll kills every active lane with err and reports the group done.
+func (s *vmScheduler) failAll(err error) {
+	for _, l := range s.lanes {
+		s.laneFail(l, err)
+	}
+	s.rebuildLanes()
 }
 
 // rebuildLanes filters dead lanes out of the active list in place.
@@ -295,19 +292,21 @@ func cmpFloats(kind int32, a, b float64) bool {
 	}
 }
 
-func brCmpRes(kind int32, isF bool, l, r rval) bool {
-	if isF {
-		return cmpFloats(kind, l.asFloat(), r.asFloat())
+// brCmpRes compares payloads l (kind kl) and r (kind kr) with C
+// promotion.
+func brCmpRes(kind int32, kl ValKind, l uint64, kr ValKind, r uint64) bool {
+	if kl == KFloat || kr == KFloat {
+		return cmpFloats(kind, wordF(l, kl), wordF(r, kr))
 	}
-	return cmpInts(kind, l.i, r.i)
+	return cmpInts(kind, int64(l), int64(r))
 }
 
 // vecRun executes in lockstep until the group finishes (returns true) or
 // an unhinted branch diverges (returns false, with the top frame's ip at
 // the branch and no side effects applied — the scalar re-execution of the
 // branch reproduces its counters). Instruction semantics transcribe
-// vmWI.run case by case; kind-dependent decisions are hoisted to the first
-// active lane under the kind-uniformity invariant (file comment).
+// vmWI.run case by case; kind-dependent decisions read the per-register
+// kinds once per instruction (file comment).
 func (s *vmScheduler) vecRun() (done bool) {
 	w := s.width
 	wis := s.wis
@@ -316,11 +315,7 @@ func (s *vmScheduler) vecRun() (done bool) {
 		s.vecDispatches += nd
 		s.vecLaneExecs += nl
 		if r := recover(); r != nil {
-			err := fmt.Errorf("oclc: work-item panic: %v", r)
-			for _, l := range s.lanes {
-				s.laneFail(l, err)
-			}
-			s.rebuildLanes()
+			s.failAll(fmt.Errorf("oclc: work-item panic: %v", r))
 			done = true
 		}
 	}()
@@ -329,7 +324,8 @@ frames:
 		f := &s.vframes[len(s.vframes)-1]
 		vc := f.vc
 		code := vc.code
-		regs := f.regs
+		regs := &f.regs
+		kind := regs.kind
 		ip := f.ip
 		for {
 			if s.lanesDirty {
@@ -340,6 +336,7 @@ frames:
 				mVecLanesActive.Observe(float64(len(s.lanes)))
 			}
 			lanes := s.lanes
+			dense := len(lanes) == w
 			in := &code[ip]
 			nd++
 			nl += int64(len(lanes))
@@ -350,11 +347,11 @@ frames:
 			case opJump:
 				ip = int(in.imm)
 			case opJumpFalse, opJumpTrue:
-				acol := regs[int(in.a)*w:]
-				t0 := acol[lanes[0]].truthy()
+				k, acol := kind[in.a], regs.col(in.a)
+				t0 := wordTruthy(acol[lanes[0]], k)
 				if in.d == 0 { // no uniformity hint: check lane agreement
 					for _, l := range lanes[1:] {
-						if acol[l].truthy() != t0 {
+						if wordTruthy(acol[l], k) != t0 {
 							f.ip = ip
 							return false
 						}
@@ -374,36 +371,25 @@ frames:
 					}
 					return true
 				}
-				dcol := s.vframes[depth-1].regs[int(f.dst)*w:]
-				if in.op == opReturn {
-					src := regs[int(in.a)*w:]
-					if conv {
-						kk := f.fn.Ret.Kind
-						for _, l := range lanes {
-							dcol[l] = convert(src[l], kk)
-						}
-					} else {
-						for _, l := range lanes {
-							dcol[l] = src[l]
-						}
-					}
-				} else {
-					var rv rval
+				caller := &s.vframes[depth-1].regs
+				switch {
+				case in.op == opReturnNil:
+					rv := rval{}
 					if conv {
 						rv = convert(rv, f.fn.Ret.Kind)
 					}
 					for _, l := range lanes {
-						dcol[l] = rv
+						caller.set(f.dst, l, rv)
 					}
+				case conv:
+					caller.convertReg(f.dst, regs, in.a, f.fn.Ret.Kind, lanes)
+				default:
+					caller.copyReg(f.dst, regs, in.a, lanes)
 				}
 				s.vframes = s.vframes[:depth]
 				continue frames
 			case opErr:
-				err := vc.errTab[in.imm]
-				for _, l := range lanes {
-					s.laneFail(l, err)
-				}
-				s.rebuildLanes()
+				s.failAll(vc.errTab[in.imm])
 				return true
 			case opBarrier:
 				// Every active lane arrives at once: a barrier in lockstep
@@ -432,167 +418,176 @@ frames:
 				s.segCtr.Add(&vc.countTab[in.imm])
 				ip++
 
-			case opConstI:
-				acol := regs[int(in.a)*w:]
-				for _, l := range lanes {
-					acol[l].setInt(in.imm)
+			case opConstI, opConstF:
+				k, x := KInt, uint64(in.imm)
+				if in.op == opConstF {
+					k, x = KFloat, fbits(in.f)
 				}
-				ip++
-			case opConstF:
-				acol := regs[int(in.a)*w:]
-				for _, l := range lanes {
-					acol[l].setFloat(in.f)
+				acol := regs.col(in.a)
+				if dense {
+					for l := range acol {
+						acol[l] = x
+					}
+				} else {
+					for _, l := range lanes {
+						acol[l] = x
+					}
 				}
+				kind[in.a] = k
 				ip++
 			case opConstR:
-				acol := regs[int(in.a)*w:]
 				rv := vc.rvalTab[in.imm]
 				for _, l := range lanes {
-					acol[l] = rv
+					regs.set(in.a, l, rv)
 				}
 				ip++
 			case opMove:
-				acol, bcol := regs[int(in.a)*w:], regs[int(in.b)*w:]
-				for _, l := range lanes {
-					acol[l] = bcol[l]
-				}
+				regs.copyReg(in.a, regs, in.b, lanes)
 				ip++
 			case opConvert:
-				acol, bcol := regs[int(in.a)*w:], regs[int(in.b)*w:]
-				switch ValKind(in.c) {
-				case KFloat:
-					for _, l := range lanes {
-						acol[l].setFloat(bcol[l].asFloat())
-					}
-				case KInt, KBool:
-					for _, l := range lanes {
-						acol[l].setInt(bcol[l].asInt())
-					}
-				default:
-					for _, l := range lanes {
-						acol[l] = bcol[l]
-					}
-				}
+				regs.convertReg(in.a, regs, in.b, ValKind(in.c), lanes)
 				ip++
-			case opBool:
-				acol, bcol := regs[int(in.a)*w:], regs[int(in.b)*w:]
-				for _, l := range lanes {
-					if bcol[l].truthy() {
-						acol[l].setInt(1)
-					} else {
-						acol[l].setInt(0)
-					}
+			case opBool, opNot:
+				k, acol, bcol := kind[in.b], regs.col(in.a), regs.col(in.b)
+				want := in.op == opBool
+				if !want {
+					s.segCtr.IntOps++
 				}
+				for _, l := range lanes {
+					acol[l] = b2w(wordTruthy(bcol[l], k) == want)
+				}
+				kind[in.a] = KInt
 				ip++
 			case opStoreVar:
-				acol, bcol := regs[int(in.a)*w:], regs[int(in.b)*w:]
-				switch acol[lanes[0]].k {
-				case KFloat:
-					for _, l := range lanes {
-						acol[l].setFloat(bcol[l].asFloat())
-					}
-				case KInt:
-					for _, l := range lanes {
-						acol[l].setInt(bcol[l].asInt())
-					}
-				default:
-					for _, l := range lanes {
-						acol[l] = bcol[l]
-					}
-				}
+				regs.convertReg(in.a, regs, in.b, storeKind(kind[in.a]), lanes)
 				ip++
 			case opIncVar:
-				acol, bcol := regs[int(in.a)*w:], regs[int(in.b)*w:]
-				if bcol[lanes[0]].k == KFloat {
-					s.segCtr.FloatOps++
+				kb, acol, bcol := kind[in.b], regs.col(in.a), regs.col(in.b)
+				post := in.c != 0
+				if post && kb == KPtr {
+					// The old value is a pointer: its descriptor stays in
+					// b's column while b becomes an int.
+					ap, bp := regs.ptrs(in.a), regs.ptrs(in.b)
 					for _, l := range lanes {
-						old := bcol[l].f
-						nv := old + float64(in.imm)
-						bcol[l].f = nv
-						if in.c != 0 {
-							acol[l].setFloat(old)
+						ap[l] = bp[l]
+					}
+					regs.blk[in.a] = regs.blk[in.b]
+				}
+				nk := KInt
+				if kb == KFloat {
+					nk = KFloat
+					s.segCtr.FloatOps++
+					d := float64(in.imm)
+					for _, l := range lanes {
+						old := bcol[l]
+						nv := fbits(math.Float64frombits(old) + d)
+						bcol[l] = nv
+						if post {
+							acol[l] = old
 						} else {
-							acol[l].setFloat(nv)
+							acol[l] = nv
 						}
 					}
 				} else {
 					s.segCtr.IntOps++
-					for _, l := range lanes {
-						old := bcol[l].i
-						nv := old + in.imm
-						bcol[l].i = nv
-						if in.c != 0 {
-							acol[l].setInt(old)
-						} else {
-							acol[l].setInt(nv)
+					d := uint64(in.imm)
+					switch {
+					case dense && !post:
+						bcol = bcol[:len(acol)]
+						for l := range acol {
+							bcol[l] += d
+							acol[l] = bcol[l]
+						}
+					default:
+						for _, l := range lanes {
+							old := bcol[l]
+							bcol[l] = old + d
+							if post {
+								acol[l] = old
+							} else {
+								acol[l] = old + d
+							}
 						}
 					}
+				}
+				kind[in.b] = nk
+				if post {
+					kind[in.a] = kb
+				} else {
+					kind[in.a] = nk
 				}
 				ip++
 			case opIncVal:
-				acol, bcol := regs[int(in.a)*w:], regs[int(in.b)*w:]
-				if bcol[lanes[0]].k == KFloat {
+				kb, acol, bcol := kind[in.b], regs.col(in.a), regs.col(in.b)
+				if kb == KFloat {
 					s.segCtr.FloatOps++
+					d := float64(in.imm)
 					for _, l := range lanes {
-						acol[l].setFloat(bcol[l].f + float64(in.imm))
+						acol[l] = fbits(math.Float64frombits(bcol[l]) + d)
 					}
+					kind[in.a] = KFloat
 				} else {
 					s.segCtr.IntOps++
+					d := uint64(in.imm)
 					for _, l := range lanes {
-						acol[l].setInt(bcol[l].i + in.imm)
+						acol[l] = bcol[l] + d
 					}
+					kind[in.a] = KInt
 				}
 				ip++
 
-			case opAdd:
-				acol, bcol, ccol := regs[int(in.a)*w:], regs[int(in.b)*w:], regs[int(in.c)*w:]
-				if bcol[lanes[0]].k == KFloat || ccol[lanes[0]].k == KFloat {
+			case opAdd, opSub, opMul:
+				kb, kc := kind[in.b], kind[in.c]
+				acol, bcol, ccol := regs.col(in.a), regs.col(in.b), regs.col(in.c)
+				if kb == KFloat || kc == KFloat {
 					s.segCtr.FloatOps++
-					for _, l := range lanes {
-						acol[l].setFloat(bcol[l].asFloat() + ccol[l].asFloat())
+					if kb == KFloat && kc == KFloat && dense {
+						floatBinDense(in.op, acol, bcol, ccol)
+					} else {
+						for _, l := range lanes {
+							x, y := wordF(bcol[l], kb), wordF(ccol[l], kc)
+							var r float64
+							switch in.op {
+							case opAdd:
+								r = x + y
+							case opSub:
+								r = x - y
+							default:
+								r = x * y
+							}
+							acol[l] = fbits(r)
+						}
 					}
+					kind[in.a] = KFloat
 				} else {
 					s.segCtr.IntOps++
-					for _, l := range lanes {
-						acol[l].setInt(bcol[l].i + ccol[l].i)
+					if dense {
+						intBinDense(in.op, acol, bcol, ccol)
+					} else {
+						for _, l := range lanes {
+							x, y := bcol[l], ccol[l]
+							switch in.op {
+							case opAdd:
+								acol[l] = x + y
+							case opSub:
+								acol[l] = x - y
+							default:
+								acol[l] = x * y
+							}
+						}
 					}
-				}
-				ip++
-			case opSub:
-				acol, bcol, ccol := regs[int(in.a)*w:], regs[int(in.b)*w:], regs[int(in.c)*w:]
-				if bcol[lanes[0]].k == KFloat || ccol[lanes[0]].k == KFloat {
-					s.segCtr.FloatOps++
-					for _, l := range lanes {
-						acol[l].setFloat(bcol[l].asFloat() - ccol[l].asFloat())
-					}
-				} else {
-					s.segCtr.IntOps++
-					for _, l := range lanes {
-						acol[l].setInt(bcol[l].i - ccol[l].i)
-					}
-				}
-				ip++
-			case opMul:
-				acol, bcol, ccol := regs[int(in.a)*w:], regs[int(in.b)*w:], regs[int(in.c)*w:]
-				if bcol[lanes[0]].k == KFloat || ccol[lanes[0]].k == KFloat {
-					s.segCtr.FloatOps++
-					for _, l := range lanes {
-						acol[l].setFloat(bcol[l].asFloat() * ccol[l].asFloat())
-					}
-				} else {
-					s.segCtr.IntOps++
-					for _, l := range lanes {
-						acol[l].setInt(bcol[l].i * ccol[l].i)
-					}
+					kind[in.a] = KInt
 				}
 				ip++
 			case opDiv:
-				acol, bcol, ccol := regs[int(in.a)*w:], regs[int(in.b)*w:], regs[int(in.c)*w:]
-				if bcol[lanes[0]].k == KFloat || ccol[lanes[0]].k == KFloat {
+				kb, kc := kind[in.b], kind[in.c]
+				acol, bcol, ccol := regs.col(in.a), regs.col(in.b), regs.col(in.c)
+				if kb == KFloat || kc == KFloat {
 					s.segCtr.FloatOps++
 					for _, l := range lanes {
-						acol[l].setFloat(bcol[l].asFloat() / ccol[l].asFloat())
+						acol[l] = fbits(wordF(bcol[l], kb) / wordF(ccol[l], kc))
 					}
+					kind[in.a] = KFloat
 				} else {
 					// The bump precedes the zero checks: a lane dying here
 					// flushes with this instruction's IntOps included, as the
@@ -600,94 +595,64 @@ frames:
 					s.segCtr.IntOps++
 					var zerr error
 					for _, l := range lanes {
-						if ccol[l].i == 0 {
+						if ccol[l] == 0 {
 							if zerr == nil {
 								zerr = errf(in.pos, "integer division by zero")
 							}
 							s.laneFail(l, zerr)
 							continue
 						}
-						acol[l].setInt(bcol[l].i / ccol[l].i)
+						acol[l] = uint64(int64(bcol[l]) / int64(ccol[l]))
 					}
+					kind[in.a] = KInt
 				}
 				ip++
 			case opMod:
-				acol, bcol, ccol := regs[int(in.a)*w:], regs[int(in.b)*w:], regs[int(in.c)*w:]
-				if bcol[lanes[0]].k == KFloat || ccol[lanes[0]].k == KFloat {
-					err := errf(in.pos, "%% requires integer operands")
-					for _, l := range lanes {
-						s.laneFail(l, err)
-					}
-					s.rebuildLanes()
+				if kind[in.b] == KFloat || kind[in.c] == KFloat {
+					s.failAll(errf(in.pos, "%% requires integer operands"))
 					return true
 				}
+				acol, bcol, ccol := regs.col(in.a), regs.col(in.b), regs.col(in.c)
 				s.segCtr.IntOps++
 				var zerr error
 				for _, l := range lanes {
-					if ccol[l].i == 0 {
+					if ccol[l] == 0 {
 						if zerr == nil {
 							zerr = errf(in.pos, "integer modulo by zero")
 						}
 						s.laneFail(l, zerr)
 						continue
 					}
-					acol[l].setInt(bcol[l].i % ccol[l].i)
+					acol[l] = uint64(int64(bcol[l]) % int64(ccol[l]))
 				}
+				kind[in.a] = KInt
 				ip++
 			case opShl, opShr, opBitAnd, opBitOr, opBitXor:
-				acol, bcol, ccol := regs[int(in.a)*w:], regs[int(in.b)*w:], regs[int(in.c)*w:]
-				if bcol[lanes[0]].k == KFloat || ccol[lanes[0]].k == KFloat {
-					err := errf(in.pos, "bitwise operator on float")
-					for _, l := range lanes {
-						s.laneFail(l, err)
-					}
-					s.rebuildLanes()
+				if kind[in.b] == KFloat || kind[in.c] == KFloat {
+					s.failAll(errf(in.pos, "bitwise operator on float"))
 					return true
 				}
+				acol, bcol, ccol := regs.col(in.a), regs.col(in.b), regs.col(in.c)
 				s.segCtr.IntOps++
+				op := in.op - opShl
 				for _, l := range lanes {
-					a, b := bcol[l].i, ccol[l].i
-					var v int64
-					switch in.op {
-					case opShl:
-						v = a << uint(b)
-					case opShr:
-						v = a >> uint(b)
-					case opBitAnd:
-						v = a & b
-					case opBitOr:
-						v = a | b
-					default:
-						v = a ^ b
-					}
-					acol[l].setInt(v)
+					acol[l] = bitOp(op, int64(bcol[l]), int64(ccol[l]))
 				}
+				kind[in.a] = KInt
 				ip++
 			case opEq, opNe, opLt, opGt, opLe, opGe:
-				acol, bcol, ccol := regs[int(in.a)*w:], regs[int(in.b)*w:], regs[int(in.c)*w:]
-				kind := int32(in.op - opEq)
+				kb, kc := kind[in.b], kind[in.c]
+				acol, bcol, ccol := regs.col(in.a), regs.col(in.b), regs.col(in.c)
+				cmp := int32(in.op - opEq)
 				s.segCtr.IntOps++
-				if bcol[lanes[0]].k == KFloat || ccol[lanes[0]].k == KFloat {
-					for _, l := range lanes {
-						if cmpFloats(kind, bcol[l].asFloat(), ccol[l].asFloat()) {
-							acol[l].setInt(1)
-						} else {
-							acol[l].setInt(0)
-						}
-					}
-				} else {
-					for _, l := range lanes {
-						if cmpInts(kind, bcol[l].i, ccol[l].i) {
-							acol[l].setInt(1)
-						} else {
-							acol[l].setInt(0)
-						}
-					}
+				for _, l := range lanes {
+					acol[l] = b2w(brCmpRes(cmp, kb, bcol[l], kc, ccol[l]))
 				}
+				kind[in.a] = KInt
 				ip++
 
 			default:
-				nip, st := s.vecStep(in, f, regs, lanes, ip)
+				nip, st := s.vecStep(in, f, lanes, ip)
 				switch st {
 				case stepDone:
 					return true
@@ -699,6 +664,44 @@ frames:
 				}
 				ip = nip
 			}
+		}
+	}
+}
+
+// floatBinDense and intBinDense are opAdd/opSub/opMul over whole columns
+// (every lane active, float×float or int×int operands).
+func floatBinDense(op opcode, a, b, c []uint64) {
+	b, c = b[:len(a)], c[:len(a)]
+	switch op {
+	case opAdd:
+		for l := range a {
+			a[l] = fbits(math.Float64frombits(b[l]) + math.Float64frombits(c[l]))
+		}
+	case opSub:
+		for l := range a {
+			a[l] = fbits(math.Float64frombits(b[l]) - math.Float64frombits(c[l]))
+		}
+	default:
+		for l := range a {
+			a[l] = fbits(math.Float64frombits(b[l]) * math.Float64frombits(c[l]))
+		}
+	}
+}
+
+func intBinDense(op opcode, a, b, c []uint64) {
+	b, c = b[:len(a)], c[:len(a)]
+	switch op {
+	case opAdd:
+		for l := range a {
+			a[l] = b[l] + c[l]
+		}
+	case opSub:
+		for l := range a {
+			a[l] = b[l] - c[l]
+		}
+	default:
+		for l := range a {
+			a[l] = b[l] * c[l]
 		}
 	}
 }
@@ -716,167 +719,123 @@ const (
 // vecStep executes the immediate-operand, branch, memory, and call opcodes
 // — the long tail split out of vecRun to keep both switches compilable as
 // dense jump tables.
-func (s *vmScheduler) vecStep(in *instr, f *vecFrame, regs []rval, lanes []int, ip int) (int, vecStep) {
+func (s *vmScheduler) vecStep(in *instr, f *vecFrame, lanes []int, ip int) (int, vecStep) {
 	w := s.width
 	wis := s.wis
 	vc := f.vc
+	regs := &f.regs
+	kind := regs.kind
+	dense := len(lanes) == w
 	switch in.op {
-	case opAddImm:
-		acol, bcol := regs[int(in.a)*w:], regs[int(in.b)*w:]
-		if bcol[lanes[0]].k == KFloat {
+	case opAddImm, opSubImm, opRSubImm, opMulImm, opDivImm:
+		acol, bcol := regs.col(in.a), regs.col(in.b)
+		if kind[in.b] == KFloat {
 			s.segCtr.FloatOps++
-			fimm := float64(in.imm)
+			y := float64(in.imm)
 			for _, l := range lanes {
-				acol[l].setFloat(bcol[l].f + fimm)
+				x := math.Float64frombits(bcol[l])
+				var r float64
+				switch in.op {
+				case opAddImm:
+					r = x + y
+				case opSubImm:
+					r = x - y
+				case opRSubImm:
+					r = y - x
+				case opMulImm:
+					r = x * y
+				default:
+					r = x / y
+				}
+				acol[l] = fbits(r)
 			}
+			kind[in.a] = KFloat
 		} else {
 			s.segCtr.IntOps++
-			for _, l := range lanes {
-				acol[l].setInt(bcol[l].i + in.imm)
+			y := in.imm
+			switch {
+			case in.op == opAddImm && dense:
+				bcol = bcol[:len(acol)]
+				for l := range acol {
+					acol[l] = bcol[l] + uint64(y)
+				}
+			case in.op == opMulImm && dense:
+				bcol = bcol[:len(acol)]
+				for l := range acol {
+					acol[l] = bcol[l] * uint64(y)
+				}
+			default:
+				for _, l := range lanes {
+					x := int64(bcol[l])
+					var r int64
+					switch in.op {
+					case opAddImm:
+						r = x + y
+					case opSubImm:
+						r = x - y
+					case opRSubImm:
+						r = y - x
+					case opMulImm:
+						r = x * y
+					default:
+						r = x / y
+					}
+					acol[l] = uint64(r)
+				}
 			}
-		}
-	case opSubImm:
-		acol, bcol := regs[int(in.a)*w:], regs[int(in.b)*w:]
-		if bcol[lanes[0]].k == KFloat {
-			s.segCtr.FloatOps++
-			fimm := float64(in.imm)
-			for _, l := range lanes {
-				acol[l].setFloat(bcol[l].f - fimm)
-			}
-		} else {
-			s.segCtr.IntOps++
-			for _, l := range lanes {
-				acol[l].setInt(bcol[l].i - in.imm)
-			}
-		}
-	case opRSubImm:
-		acol, bcol := regs[int(in.a)*w:], regs[int(in.b)*w:]
-		if bcol[lanes[0]].k == KFloat {
-			s.segCtr.FloatOps++
-			fimm := float64(in.imm)
-			for _, l := range lanes {
-				acol[l].setFloat(fimm - bcol[l].f)
-			}
-		} else {
-			s.segCtr.IntOps++
-			for _, l := range lanes {
-				acol[l].setInt(in.imm - bcol[l].i)
-			}
-		}
-	case opMulImm:
-		acol, bcol := regs[int(in.a)*w:], regs[int(in.b)*w:]
-		if bcol[lanes[0]].k == KFloat {
-			s.segCtr.FloatOps++
-			fimm := float64(in.imm)
-			for _, l := range lanes {
-				acol[l].setFloat(bcol[l].f * fimm)
-			}
-		} else {
-			s.segCtr.IntOps++
-			for _, l := range lanes {
-				acol[l].setInt(bcol[l].i * in.imm)
-			}
-		}
-	case opDivImm:
-		acol, bcol := regs[int(in.a)*w:], regs[int(in.b)*w:]
-		if bcol[lanes[0]].k == KFloat {
-			s.segCtr.FloatOps++
-			fimm := float64(in.imm)
-			for _, l := range lanes {
-				acol[l].setFloat(bcol[l].f / fimm)
-			}
-		} else {
-			s.segCtr.IntOps++
-			for _, l := range lanes {
-				acol[l].setInt(bcol[l].i / in.imm)
-			}
+			kind[in.a] = KInt
 		}
 	case opModImm:
-		acol, bcol := regs[int(in.a)*w:], regs[int(in.b)*w:]
-		if bcol[lanes[0]].k == KFloat {
-			err := errf(in.pos, "%% requires integer operands")
-			for _, l := range lanes {
-				s.laneFail(l, err)
-			}
-			s.rebuildLanes()
+		if kind[in.b] == KFloat {
+			s.failAll(errf(in.pos, "%% requires integer operands"))
 			return 0, stepDone
 		}
+		acol, bcol := regs.col(in.a), regs.col(in.b)
 		s.segCtr.IntOps++
 		for _, l := range lanes {
-			acol[l].setInt(bcol[l].i % in.imm)
+			acol[l] = uint64(int64(bcol[l]) % in.imm)
 		}
+		kind[in.a] = KInt
 	case opShlImm, opShrImm, opBitAndImm, opBitOrImm, opBitXorImm:
-		acol, bcol := regs[int(in.a)*w:], regs[int(in.b)*w:]
-		if bcol[lanes[0]].k == KFloat {
-			err := errf(in.pos, "bitwise operator on float")
-			for _, l := range lanes {
-				s.laneFail(l, err)
-			}
-			s.rebuildLanes()
+		if kind[in.b] == KFloat {
+			s.failAll(errf(in.pos, "bitwise operator on float"))
 			return 0, stepDone
 		}
+		acol, bcol := regs.col(in.a), regs.col(in.b)
+		s.segCtr.IntOps++
+		op := in.op - opShlImm
+		for _, l := range lanes {
+			acol[l] = bitOp(op, int64(bcol[l]), in.imm)
+		}
+		kind[in.a] = KInt
+	case opEqImm, opNeImm, opLtImm, opGtImm, opLeImm, opGeImm:
+		kb, acol, bcol := kind[in.b], regs.col(in.a), regs.col(in.b)
+		cmp := int32(in.op - opEqImm)
 		s.segCtr.IntOps++
 		for _, l := range lanes {
-			a := bcol[l].i
-			var v int64
-			switch in.op {
-			case opShlImm:
-				v = a << uint(in.imm)
-			case opShrImm:
-				v = a >> uint(in.imm)
-			case opBitAndImm:
-				v = a & in.imm
-			case opBitOrImm:
-				v = a | in.imm
-			default:
-				v = a ^ in.imm
-			}
-			acol[l].setInt(v)
+			acol[l] = b2w(brCmpRes(cmp, kb, bcol[l], KInt, uint64(in.imm)))
 		}
-	case opEqImm, opNeImm, opLtImm, opGtImm, opLeImm, opGeImm:
-		acol, bcol := regs[int(in.a)*w:], regs[int(in.b)*w:]
-		kind := int32(in.op - opEqImm)
-		s.segCtr.IntOps++
-		if bcol[lanes[0]].k == KFloat {
-			fimm := float64(in.imm)
-			for _, l := range lanes {
-				if cmpFloats(kind, bcol[l].f, fimm) {
-					acol[l].setInt(1)
-				} else {
-					acol[l].setInt(0)
-				}
-			}
-		} else {
-			for _, l := range lanes {
-				if cmpInts(kind, bcol[l].i, in.imm) {
-					acol[l].setInt(1)
-				} else {
-					acol[l].setInt(0)
-				}
-			}
-		}
+		kind[in.a] = KInt
 	case opBrCmpFalse, opBrCmpFalseImm:
-		lcol := regs[int(in.a)*w:]
-		var rcol []rval
-		rimm := intVal(in.imm)
+		kl, lcol := kind[in.a], regs.col(in.a)
+		kr, rimm := KInt, uint64(in.imm)
+		var rcol []uint64
 		if in.op == opBrCmpFalse {
-			rcol = regs[int(in.b)*w:]
+			kr, rcol = kind[in.b], regs.col(in.b)
 		}
-		kind := in.d & 0xff
-		isF := lcol[lanes[0]].k == KFloat
+		cmp := in.d & 0xff
 		r0 := rimm
 		if rcol != nil {
 			r0 = rcol[lanes[0]]
-			isF = isF || r0.k == KFloat
 		}
-		res := brCmpRes(kind, isF, lcol[lanes[0]], r0)
+		res := brCmpRes(cmp, kl, lcol[lanes[0]], kr, r0)
 		if in.d&brUniform == 0 { // no uniformity hint: check lane agreement
 			for _, l := range lanes[1:] {
 				rl := rimm
 				if rcol != nil {
 					rl = rcol[l]
 				}
-				if brCmpRes(kind, isF, lcol[l], rl) != res {
+				if brCmpRes(cmp, kl, lcol[l], kr, rl) != res {
 					return 0, stepDiverge
 				}
 			}
@@ -898,367 +857,148 @@ func (s *vmScheduler) vecStep(in *instr, f *vecFrame, regs []rval, lanes []int, 
 		return int(in.c), stepNext
 
 	case opNeg:
-		acol, bcol := regs[int(in.a)*w:], regs[int(in.b)*w:]
-		if bcol[lanes[0]].k == KFloat {
+		acol, bcol := regs.col(in.a), regs.col(in.b)
+		if kind[in.b] == KFloat {
 			s.segCtr.FloatOps++
 			for _, l := range lanes {
-				acol[l].setFloat(-bcol[l].f)
+				acol[l] = fbits(-math.Float64frombits(bcol[l]))
 			}
+			kind[in.a] = KFloat
 		} else {
 			s.segCtr.IntOps++
 			for _, l := range lanes {
-				acol[l].setInt(-bcol[l].i)
+				acol[l] = -bcol[l]
 			}
-		}
-	case opNot:
-		acol, bcol := regs[int(in.a)*w:], regs[int(in.b)*w:]
-		s.segCtr.IntOps++
-		for _, l := range lanes {
-			if bcol[l].truthy() {
-				acol[l].setInt(0)
-			} else {
-				acol[l].setInt(1)
-			}
+			kind[in.a] = KInt
 		}
 	case opBitNot:
-		acol, bcol := regs[int(in.a)*w:], regs[int(in.b)*w:]
+		kb, acol, bcol := kind[in.b], regs.col(in.a), regs.col(in.b)
 		s.segCtr.IntOps++
 		for _, l := range lanes {
-			acol[l].setInt(^bcol[l].asInt())
+			acol[l] = uint64(^wordI(bcol[l], kb))
 		}
+		kind[in.a] = KInt
 
 	case opCheckPtr:
-		acol := regs[int(in.a)*w:]
-		var err error
-		for _, l := range lanes {
-			if v := acol[l]; v.k != KPtr || v.mem == nil {
-				if err == nil {
-					err = errf(in.pos, "subscript of non-pointer value")
-				}
-				s.laneFail(l, err)
-			}
+		// The kind invariant makes a non-pointer group-wide, and pointer
+		// registers never hold a nil buffer.
+		if kind[in.a] != KPtr {
+			s.failAll(errf(in.pos, "subscript of non-pointer value"))
+			return 0, stepDone
 		}
 	case opCheck2D:
-		acol := regs[int(in.a)*w:]
+		if kind[in.a] != KPtr {
+			s.failAll(errf(in.pos, "2-D subscript of 1-D array"))
+			return 0, stepDone
+		}
+		ap := regs.ptrs(in.a)
 		var err error
 		for _, l := range lanes {
-			if acol[l].dim1 <= 0 {
+			if ap[l].dim1 <= 0 {
 				if err == nil {
 					err = errf(in.pos, "2-D subscript of 1-D array")
 				}
 				s.laneFail(l, err)
 			}
 		}
-	case opLoad1:
-		acol, bcol, ccol := regs[int(in.a)*w:], regs[int(in.b)*w:], regs[int(in.c)*w:]
-		base0 := bcol[lanes[0]]
-		if base0.k != KPtr || base0.mem == nil {
-			// The kind invariant makes a non-pointer base group-wide, and
-			// every lane's mem comes from the same producing instruction
-			// (a uniform argument or an opArray), so lane 0 decides.
-			err := errf(in.pos, "subscript of non-pointer value")
-			for _, l := range lanes {
-				s.laneFail(l, err)
-			}
-			s.rebuildLanes()
-			return 0, stepDone
-		}
-		// Space and element kind come from the same declaration on every
-		// lane even when the mem objects differ (private arrays), so the
-		// access accounting and value dispatch hoist out of the lane loop.
-		var log *AccessLog
-		switch base0.mem.Space {
-		case SpaceGlobal:
-			s.segCtr.GlobalLoads++
-			log = wis[lanes[0]].w.wg.log
-		case SpaceLocal:
-			s.segCtr.LocalLoads++
-		default:
-			s.segCtr.PrivateAccess++
-		}
-		isF := base0.mem.Elem == KFloat
-		site := int(in.imm)
-		for _, l := range lanes {
-			base := bcol[l]
-			m := base.mem
-			off := base.off + ccol[l].asInt()
-			if log != nil {
-				log.record(site, l, byteAddr(m, off), false)
-			}
-			if uint64(off) >= uint64(len(m.Data)) {
-				_, err := m.load(off)
-				s.laneFail(l, err)
-				continue
-			}
-			if isF {
-				acol[l].setFloat(m.loadCell(off))
-			} else {
-				acol[l].setInt(int64(m.loadCell(off)))
-			}
-		}
-	case opLoad2:
-		acol, bcol, ccol, dcol := regs[int(in.a)*w:], regs[int(in.b)*w:], regs[int(in.c)*w:], regs[int(in.d)*w:]
-		base0 := bcol[lanes[0]]
-		if base0.k != KPtr || base0.mem == nil {
-			err := errf(in.pos, "subscript of non-pointer value")
-			for _, l := range lanes {
-				s.laneFail(l, err)
-			}
-			s.rebuildLanes()
-			return 0, stepDone
-		}
-		space := base0.mem.Space
-		var log *AccessLog
-		s.segCtr.IntOps++ // row-major address computation
-		switch space {
-		case SpaceGlobal:
-			s.segCtr.GlobalLoads++
-			log = wis[lanes[0]].w.wg.log
-		case SpaceLocal:
-			s.segCtr.LocalLoads++
-		default:
-			s.segCtr.PrivateAccess++
-		}
-		isF := base0.mem.Elem == KFloat
-		site := int(in.imm)
-		var dimerr error
-		for _, l := range lanes {
-			base := bcol[l]
-			if base.dim1 <= 0 {
-				if dimerr == nil {
-					dimerr = errf(in.pos, "2-D subscript of 1-D array")
-				}
-				s.laneFail(l, dimerr)
-				// The scalar engine fails this lane before the address
-				// computation and the access: undo the hoisted bumps the
-				// flush just credited it with.
-				c := &s.ctrs[l]
-				c.IntOps--
-				switch space {
-				case SpaceGlobal:
-					c.GlobalLoads--
-				case SpaceLocal:
-					c.LocalLoads--
-				default:
-					c.PrivateAccess--
-				}
-				continue
-			}
-			m := base.mem
-			off := base.off + ccol[l].asInt()*base.dim1 + dcol[l].asInt()
-			if log != nil {
-				log.record(site, l, byteAddr(m, off), false)
-			}
-			if uint64(off) >= uint64(len(m.Data)) {
-				_, err := m.load(off)
-				s.laneFail(l, err)
-				continue
-			}
-			if isF {
-				acol[l].setFloat(m.loadCell(off))
-			} else {
-				acol[l].setInt(int64(m.loadCell(off)))
-			}
-		}
-	case opStore1:
-		acol, bcol, ccol := regs[int(in.a)*w:], regs[int(in.b)*w:], regs[int(in.c)*w:]
-		base0 := acol[lanes[0]]
-		if base0.k != KPtr || base0.mem == nil {
-			err := errf(in.pos, "subscript of non-pointer value")
-			for _, l := range lanes {
-				s.laneFail(l, err)
-			}
-			s.rebuildLanes()
-			return 0, stepDone
-		}
-		var log *AccessLog
-		switch base0.mem.Space {
-		case SpaceGlobal:
-			s.segCtr.GlobalStores++
-			log = wis[lanes[0]].w.wg.log
-		case SpaceLocal:
-			s.segCtr.LocalStores++
-		default:
-			s.segCtr.PrivateAccess++
-		}
-		isF := base0.mem.Elem == KFloat
-		site := int(in.imm)
-		for _, l := range lanes {
-			base := acol[l]
-			m := base.mem
-			off := base.off + bcol[l].asInt()
-			if log != nil {
-				log.record(site, l, byteAddr(m, off), true)
-			}
-			if uint64(off) >= uint64(len(m.Data)) {
-				s.laneFail(l, m.storePlain(off, ccol[l]))
-				continue
-			}
-			if isF {
-				m.Data[off] = ccol[l].asFloat()
-			} else {
-				m.Data[off] = float64(ccol[l].asInt())
-			}
-		}
-	case opStore2:
-		acol, bcol, ccol, dcol := regs[int(in.a)*w:], regs[int(in.b)*w:], regs[int(in.c)*w:], regs[int(in.d)*w:]
-		base0 := acol[lanes[0]]
-		if base0.k != KPtr || base0.mem == nil {
-			err := errf(in.pos, "subscript of non-pointer value")
-			for _, l := range lanes {
-				s.laneFail(l, err)
-			}
-			s.rebuildLanes()
-			return 0, stepDone
-		}
-		space := base0.mem.Space
-		var log *AccessLog
-		s.segCtr.IntOps++
-		switch space {
-		case SpaceGlobal:
-			s.segCtr.GlobalStores++
-			log = wis[lanes[0]].w.wg.log
-		case SpaceLocal:
-			s.segCtr.LocalStores++
-		default:
-			s.segCtr.PrivateAccess++
-		}
-		isF := base0.mem.Elem == KFloat
-		site := int(in.imm)
-		var dimerr error
-		for _, l := range lanes {
-			base := acol[l]
-			if base.dim1 <= 0 {
-				if dimerr == nil {
-					dimerr = errf(in.pos, "2-D subscript of 1-D array")
-				}
-				s.laneFail(l, dimerr)
-				c := &s.ctrs[l]
-				c.IntOps--
-				switch space {
-				case SpaceGlobal:
-					c.GlobalStores--
-				case SpaceLocal:
-					c.LocalStores--
-				default:
-					c.PrivateAccess--
-				}
-				continue
-			}
-			m := base.mem
-			off := base.off + bcol[l].asInt()*base.dim1 + ccol[l].asInt()
-			if log != nil {
-				log.record(site, l, byteAddr(m, off), true)
-			}
-			if uint64(off) >= uint64(len(m.Data)) {
-				s.laneFail(l, m.storePlain(off, dcol[l]))
-				continue
-			}
-			if isF {
-				m.Data[off] = dcol[l].asFloat()
-			} else {
-				m.Data[off] = float64(dcol[l].asInt())
-			}
-		}
+	case opLoad1, opLoad2, opStore1, opStore2:
+		return s.vecMem(in, regs, lanes, ip)
+
 	case opCheckDim:
-		acol := regs[int(in.a)*w:]
+		k, acol := kind[in.a], regs.col(in.a)
 		for _, l := range lanes {
-			if v := acol[l].asInt(); v <= 0 {
+			if v := wordI(acol[l], k); v <= 0 {
 				d := vc.declTab[in.imm]
 				s.laneFail(l, fmt.Errorf("oclc: %s: array %q dimension %d is %d", d.Pos, d.Name, int(in.c), v))
 			}
 		}
 	case opArray:
 		d := vc.declTab[in.imm]
-		acol, bcol := regs[int(in.a)*w:], regs[int(in.b)*w:]
-		var ccol []rval
-		if in.c >= 0 {
-			ccol = regs[int(in.c)*w:]
+		twoD := in.c >= 0
+		kb, bcol := kind[in.b], regs.col(in.b)
+		var kc ValKind
+		var ccol []uint64
+		if twoD {
+			kc, ccol = kind[in.c], regs.col(in.c)
+		}
+		dims := func(l int) (int64, int64) {
+			var d1 int64
+			if twoD {
+				d1 = wordI(ccol[l], kc)
+			}
+			return wordI(bcol[l], kb), d1
+		}
+		if d.Type.Space != SpaceLocal && s.privateBlock(regs, in.a, d, twoD, lanes, dims) {
+			break
 		}
 		for _, l := range lanes {
-			size := bcol[l].asInt()
-			var d1 int64
-			if ccol != nil {
-				d1 = ccol[l].asInt()
-				size *= d1
+			d0, d1 := dims(l)
+			mem, err := allocArray(&wis[l].w, d, d0, d1, twoD)
+			if err != nil {
+				s.laneFail(l, err)
+				continue
 			}
-			const elemBytes = 4
-			var mem *Memory
-			if d.Type.Space == SpaceLocal {
-				var err error
-				mem, err = wis[l].w.wg.localAlloc(d, d.Type.Kind, elemBytes, size)
-				if err != nil {
-					s.laneFail(l, err)
-					continue
-				}
-			} else {
-				mem = &Memory{Space: SpacePrivate, Elem: d.Type.Kind, ElemBytes: elemBytes, Data: make([]float64, size)}
+			regs.setPtr(in.a, l, mem, d1)
+		}
+		// __local tiles are one buffer shared by the group.
+		if ap := regs.ptrs(in.a); !s.lanesDirty && d.Type.Space == SpaceLocal {
+			m0 := ap[lanes[0]]
+			if b := sharedBlock(m0.mem, m0.dim1); b.holdsAll(ap, lanes) {
+				regs.blk[in.a] = b
 			}
-			ptr := rval{k: KPtr, mem: mem}
-			if ccol != nil {
-				ptr.dim1 = d1
-			}
-			acol[l] = ptr
 		}
 
 	case opWIQuery:
-		acol := regs[int(in.a)*w:]
+		acol := regs.col(in.a)
 		d := int(in.c)
 		// Only the IDs vary by lane; every other query is group-uniform and
 		// computed once.
 		switch in.b {
 		case wqGlobalID:
 			for _, l := range lanes {
-				acol[l].setInt(wis[l].w.gid[d])
+				acol[l] = uint64(wis[l].w.gid[d])
 			}
 		case wqLocalID:
 			for _, l := range lanes {
-				acol[l].setInt(wis[l].w.lid[d])
+				acol[l] = uint64(wis[l].w.lid[d])
 			}
 		default:
-			wc := &wis[lanes[0]].w
-			var v int64
-			switch in.b {
-			case wqGroupID:
-				v = wc.wg.grp[d]
-			case wqGlobalSize:
-				v = wc.wg.launch.Global[d]
-			case wqLocalSize:
-				v = wc.wg.launch.Local[d]
-			case wqNumGroups:
-				v = wc.wg.launch.Global[d] / wc.wg.launch.Local[d]
-			default: // wqWorkDim
-				v = int64(wc.wg.launch.Dims())
-			}
+			v := uint64(wis[lanes[0]].w.query(int(in.b), d))
 			for _, l := range lanes {
-				acol[l].setInt(v)
+				acol[l] = v
 			}
 		}
+		kind[in.a] = KInt
 	case opFMA:
-		acol, bcol, ccol, dcol := regs[int(in.a)*w:], regs[int(in.b)*w:], regs[int(in.c)*w:], regs[int(in.d)*w:]
+		kb, kc, kd := kind[in.b], kind[in.c], kind[in.d]
+		acol, bcol, ccol, dcol := regs.col(in.a), regs.col(in.b), regs.col(in.c), regs.col(in.d)
 		s.segCtr.FMAs++
-		for _, l := range lanes {
-			acol[l].setFloat(bcol[l].asFloat()*ccol[l].asFloat() + dcol[l].asFloat())
+		if dense && kb == KFloat && kc == KFloat && kd == KFloat {
+			bcol, ccol, dcol = bcol[:len(acol)], ccol[:len(acol)], dcol[:len(acol)]
+			for l := range acol {
+				acol[l] = fbits(math.Float64frombits(bcol[l])*math.Float64frombits(ccol[l]) + math.Float64frombits(dcol[l]))
+			}
+		} else {
+			for _, l := range lanes {
+				acol[l] = fbits(wordF(bcol[l], kb)*wordF(ccol[l], kc) + wordF(dcol[l], kd))
+			}
 		}
+		kind[in.a] = KFloat
 	case opCallBuiltin:
-		nargs := int(in.c)
-		if cap(s.argBuf) < nargs {
-			s.argBuf = make([]rval, nargs)
-		}
-		ab := s.argBuf[:nargs]
-		acol := regs[int(in.a)*w:]
+		ab := resize(s.argBuf, int(in.c))
+		s.argBuf = ab
 		bfn := vc.builtins[in.imm]
 		call := vc.callTab[in.imm]
 		for _, l := range lanes {
-			for i := 0; i < nargs; i++ {
-				ab[i] = regs[(int(in.b)+i)*w+l]
+			for i := range ab {
+				ab[i] = regs.get(in.b+int32(i), l)
 			}
 			rv, err := bfn(&wis[l].w, call, ab)
 			if err != nil {
 				s.laneFail(l, err)
 				continue
 			}
-			acol[l] = rv
+			regs.set(in.a, l, rv)
 		}
 	case opCallFn:
 		callee := vc.fnTab[in.imm]
@@ -1266,54 +1006,331 @@ func (s *vmScheduler) vecStep(in *instr, f *vecFrame, regs []rval, lanes []int, 
 		s.segCtr.Calls++
 		depth := len(s.vframes)
 		if depth >= vmMaxDepth {
-			err := errf(in.pos, "call depth exceeded")
-			for _, l := range lanes {
-				s.laneFail(l, err)
-			}
-			s.rebuildLanes()
+			s.failAll(errf(in.pos, "call depth exceeded"))
 			return 0, stepDone
 		}
 		f.ip = ip + 1
-		// Reuse the vector frame (and its SoA columns) pooled at this
+		// Reuse the vector frame (and its register file) pooled at this
 		// depth; reuse without zeroing is sound for the same reason as the
 		// scalar frames — every register is written before read.
-		for cap(s.vframes) <= depth {
-			s.vframes = append(s.vframes[:cap(s.vframes)], vecFrame{})
-		}
-		s.vframes = s.vframes[:depth+1]
-		nf := &s.vframes[depth]
-		need := cvc.numRegs * w
-		if cap(nf.regs) >= need {
-			nf.regs = nf.regs[:need]
+		if depth == cap(s.vframes) {
+			s.vframes = append(s.vframes, vecFrame{})
 		} else {
-			nf.regs = make([]rval, need)
+			s.vframes = s.vframes[:depth+1]
 		}
+		nf := &s.vframes[depth]
+		nf.regs.resetLanes(cvc.numRegs, w)
 		nf.fn, nf.vc, nf.ip, nf.dst = callee, cvc, 0, in.a
+		// s.vframes may have moved: re-read the caller's file.
+		caller := &s.vframes[depth-1].regs
 		for i := range callee.Params {
-			src := regs[(int(in.b)+i)*w:]
-			dst := nf.regs[callee.Params[i].Slot*w:]
-			for _, l := range lanes {
-				dst[l] = src[l]
-			}
+			nf.regs.copyReg(int32(callee.Params[i].Slot), caller, in.b+int32(i), lanes)
 		}
 		return 0, stepFrames
 
 	default:
-		err := fmt.Errorf("oclc: unknown opcode %d", in.op)
-		for _, l := range lanes {
-			s.laneFail(l, err)
-		}
-		s.rebuildLanes()
+		s.failAll(fmt.Errorf("oclc: unknown opcode %d", in.op))
 		return 0, stepDone
 	}
 	return ip + 1, stepNext
 }
 
+// vecMem executes opLoad1/opLoad2/opStore1/opStore2 over the lanes.
+// Operand roles: loads address through b (indices c[, d]) into a; stores
+// address through a (indices b[, c]) from c or d.
+func (s *vmScheduler) vecMem(in *instr, regs *vmRegs, lanes []int, ip int) (int, vecStep) {
+	kind := regs.kind
+	isLoad := in.op == opLoad1 || in.op == opLoad2
+	is2D := in.op == opLoad2 || in.op == opStore2
+	base, i0, i1, src := in.a, in.b, in.c, in.c
+	if isLoad {
+		base, i0, i1 = in.b, in.c, in.d
+	} else if is2D {
+		src = in.d
+	}
+	if kind[base] != KPtr {
+		// The kind invariant makes a non-pointer base group-wide.
+		s.failAll(errf(in.pos, "subscript of non-pointer value"))
+		return 0, stepDone
+	}
+	var ix laneIndex
+	ix.k0, ix.c0 = kind[i0], regs.col(i0)
+	if is2D {
+		ix.is2D = true
+		ix.k1, ix.c1 = kind[i1], regs.col(i1)
+	}
+	// Space and element kind come from the same declaration on every lane
+	// even when the buffers differ (private arrays), so the access
+	// accounting and value dispatch hoist out of the lane loop.
+	blk := &regs.blk[base]
+	var bp []vmPtr
+	m0 := blk.mem
+	if m0 == nil {
+		bp = regs.ptrs(base)
+		m0 = bp[lanes[0]].mem
+	}
+	space := m0.Space
+	var log *AccessLog
+	if space == SpaceGlobal {
+		log = s.wis[lanes[0]].w.wg.log
+	}
+	*spaceCounter(&s.segCtr, space, isLoad)++
+	if is2D {
+		s.segCtr.IntOps++ // row-major address computation
+	}
+	isF := m0.Elem == KFloat
+	var acol, vcol []uint64
+	var kv ValKind
+	if isLoad {
+		acol = regs.col(in.a)
+		if isF {
+			kind[in.a] = KFloat
+		} else {
+			kind[in.a] = KInt
+		}
+	} else {
+		kv, vcol = kind[src], regs.col(src)
+	}
+
+	// Dense path: with every lane active and no access log, a register
+	// with a block computes and checks all lanes' indices into the block
+	// first and touches memory only if every lane passes; otherwise the
+	// per-lane loop below reproduces the exact failure order.
+	if blk.mem != nil && len(lanes) == s.width && log == nil {
+		offs := resize(s.offBuf, s.width)
+		s.offBuf = offs
+		if ix.blockOffsets(blk, offs) {
+			data := blk.data
+			switch {
+			case isLoad && isF:
+				acol = acol[:len(offs)]
+				for l, i := range offs {
+					acol[l] = atomic.LoadUint64((*uint64)(unsafe.Pointer(&data[i])))
+				}
+			case isLoad:
+				acol = acol[:len(offs)]
+				for l, i := range offs {
+					acol[l] = uint64(int64(math.Float64frombits(atomic.LoadUint64((*uint64)(unsafe.Pointer(&data[i]))))))
+				}
+			case isF && kv == KFloat:
+				vcol = vcol[:len(offs)]
+				for l, i := range offs {
+					data[i] = math.Float64frombits(vcol[l])
+				}
+			case isF:
+				vcol = vcol[:len(offs)]
+				for l, i := range offs {
+					data[i] = wordF(vcol[l], kv)
+				}
+			default:
+				vcol = vcol[:len(offs)]
+				for l, i := range offs {
+					data[i] = float64(wordI(vcol[l], kv))
+				}
+			}
+			return ip + 1, stepNext
+		}
+	}
+	if bp == nil {
+		bp = regs.ptrs(base)
+	}
+
+	site := int(in.imm)
+	var dimerr error
+	for _, l := range lanes {
+		p := &bp[l]
+		m := p.mem
+		off, ok := ix.offset(p.dim1, l)
+		if !ok {
+			if dimerr == nil {
+				dimerr = errf(in.pos, "2-D subscript of 1-D array")
+			}
+			s.laneFail(l, dimerr)
+			// The scalar engine fails this lane before the address
+			// computation and the access: undo the hoisted bumps the
+			// flush just credited it with.
+			c := &s.ctrs[l]
+			c.IntOps--
+			*spaceCounter(c, space, isLoad)--
+			continue
+		}
+		if log != nil {
+			log.record(site, l, byteAddr(m, off), !isLoad)
+		}
+		if uint64(off) >= uint64(len(m.Data)) {
+			if isLoad {
+				s.laneFail(l, m.rangeErr("load", off))
+			} else {
+				s.laneFail(l, m.rangeErr("store", off))
+			}
+			continue
+		}
+		switch {
+		case isLoad && isF:
+			acol[l] = fbits(m.loadCell(off))
+		case isLoad:
+			acol[l] = uint64(int64(m.loadCell(off)))
+		case isF:
+			m.Data[off] = wordF(vcol[l], kv)
+		default:
+			m.Data[off] = float64(wordI(vcol[l], kv))
+		}
+	}
+	return ip + 1, stepNext
+}
+
+// laneIndex holds the subscript columns of one memory instruction with
+// their kinds.
+type laneIndex struct {
+	is2D   bool
+	k0, k1 ValKind
+	c0, c1 []uint64
+}
+
+// offset is lane l's element offset into a buffer whose second-dimension
+// extent is dim1; ok is false when a 2-D subscript meets a 1-D array.
+func (ix *laneIndex) offset(dim1 int64, l int) (off int64, ok bool) {
+	off = wordI(ix.c0[l], ix.k0)
+	if ix.is2D {
+		if dim1 <= 0 {
+			return 0, false
+		}
+		off = off*dim1 + wordI(ix.c1[l], ix.k1)
+	}
+	return off, true
+}
+
+// blockOffsets fills offs with every lane's index into b.data, or reports
+// false if some lane's subscript fails a check.
+func (ix *laneIndex) blockOffsets(b *vmBlock, offs []int64) bool {
+	n, stride := uint64(b.n), int64(b.stride)
+	if ix.k0 == KFloat || ix.is2D && ix.k1 == KFloat {
+		// Float subscripts truncate: the general per-lane decode.
+		for l := range offs {
+			off, ok := ix.offset(b.dim1, l)
+			if !ok || uint64(off) >= n {
+				return false
+			}
+			offs[l] = off + int64(l)*stride
+		}
+		return true
+	}
+	c0 := ix.c0[:len(offs)]
+	if !ix.is2D {
+		for l := range offs {
+			off := int64(c0[l])
+			if uint64(off) >= n {
+				return false
+			}
+			offs[l] = off + int64(l)*stride
+		}
+		return true
+	}
+	dim1 := b.dim1
+	if dim1 <= 0 {
+		return false
+	}
+	c1 := ix.c1[:len(offs)]
+	for l := range offs {
+		off := int64(c0[l])*dim1 + int64(c1[l])
+		if uint64(off) >= n {
+			return false
+		}
+		offs[l] = off + int64(l)*stride
+	}
+	return true
+}
+
+// sharedBlock is the stride-0 block of a buffer every lane shares.
+func sharedBlock(m *Memory, dim1 int64) vmBlock {
+	return vmBlock{mem: m, data: m.Data, n: len(m.Data), dim1: dim1}
+}
+
+// holdsAll reports whether every listed lane's descriptor lies in b.
+func (b *vmBlock) holdsAll(ps []vmPtr, lanes []int) bool {
+	for _, l := range lanes {
+		if !b.holds(ps[l], l) {
+			return false
+		}
+	}
+	return true
+}
+
+// regatherBlock is the block of a pointer column rebuilt by a re-gather:
+// the register's block from before the scatter when every lane still lies
+// in it, a shared block when every lane holds the same buffer, and no
+// block otherwise.
+func regatherBlock(old vmBlock, ps []vmPtr, lanes []int) vmBlock {
+	if old.mem != nil && old.holdsAll(ps, lanes) {
+		return old
+	}
+	p0 := ps[lanes[0]]
+	if b := sharedBlock(p0.mem, p0.dim1); b.holdsAll(ps, lanes) {
+		return b
+	}
+	return vmBlock{}
+}
+
+// maxPrivateBlock bounds the elements of one lockstep private-array block.
+const maxPrivateBlock = 1 << 24
+
+// privateBlock allocates a private array declaration for every active
+// lane at once when all lanes agree on its dimensions: one zeroed
+// lane-strided buffer and one Memory per lane over its stride, exactly
+// what per-lane allocation yields, laid out so that memory instructions
+// can use the register's block. It reports false, allocating nothing,
+// when the lanes disagree or the block would be empty or too large.
+func (s *vmScheduler) privateBlock(regs *vmRegs, a int32, d *VarDecl, twoD bool, lanes []int, dims func(int) (int64, int64)) bool {
+	d0, d1 := dims(lanes[0])
+	for _, l := range lanes[1:] {
+		if x0, x1 := dims(l); x0 != d0 || x1 != d1 {
+			return false
+		}
+	}
+	size := d0
+	if twoD {
+		if d1 <= 0 || d0 > maxPrivateBlock/d1 {
+			return false
+		}
+		size *= d1
+	}
+	w := s.width
+	if size <= 0 || size > maxPrivateBlock/int64(w) {
+		return false
+	}
+	n := int(size)
+	data := make([]float64, n*w)
+	mems := make([]Memory, w)
+	for _, l := range lanes {
+		mems[l] = Memory{Space: SpacePrivate, Elem: d.Type.Kind, ElemBytes: 4, Data: data[l*n : (l+1)*n : (l+1)*n]}
+		regs.setPtr(a, l, &mems[l], d1)
+	}
+	regs.blk[a] = vmBlock{mem: &mems[lanes[0]], data: data, stride: n, n: n, dim1: d1}
+	return true
+}
+
+// spaceCounter is the Counters field an access to space counts in.
+func spaceCounter(c *Counters, space AddrSpace, load bool) *int64 {
+	switch {
+	case space == SpaceGlobal && load:
+		return &c.GlobalLoads
+	case space == SpaceGlobal:
+		return &c.GlobalStores
+	case space == SpaceLocal && load:
+		return &c.LocalLoads
+	case space == SpaceLocal:
+		return &c.LocalStores
+	default:
+		return &c.PrivateAccess
+	}
+}
 
 // scatter copies every live lane's column state into its per-item scalar
 // frames (vmWI), with the top frame's ip at the diverging branch and no
 // side effects from it applied — the scalar re-execution of the branch
-// reproduces its counters exactly. Lanes that died during the current
+// reproduces its counters exactly. Each lane frame gets the register kinds
+// as they are, its own payload word of every register, and its own
+// descriptor of every pointer register. Lanes that died during the current
 // segment scatter as vmDying so the scalar scheduler replays their death
 // events in lane order (runScalar); lanes dead from earlier segments had
 // their events replayed at a barrier already and stay vmDone.
@@ -1321,18 +1338,6 @@ func (s *vmScheduler) scatter() {
 	w := s.width
 	wis := s.wis
 	nf := len(s.vframes)
-	// Frame-0 registers come from a dedicated arena: after a *scalar*
-	// launch on this pooled scheduler, wi.frames[0].regs is a slice of
-	// s.arena whose capacity extends to the arena's end — reusing it here
-	// would write lane-AoS state over the very SoA columns being read.
-	// Deeper frames were always individually allocated and are safe to
-	// reuse.
-	nr0 := s.vframes[0].vc.numRegs
-	if need := w * nr0; cap(s.scatArena) >= need {
-		s.scatArena = s.scatArena[:need]
-	} else {
-		s.scatArena = make([]rval, need)
-	}
 	// Scattered lanes leave the segment: flush their share of the batched
 	// counters before the scalar scheduler resumes incrementing per item.
 	for _, l := range s.lanes {
@@ -1341,24 +1346,22 @@ func (s *vmScheduler) scatter() {
 	s.segCtr = Counters{}
 	for _, l := range s.lanes {
 		wi := &wis[l]
-		for cap(wi.frames) < nf {
-			wi.frames = append(wi.frames[:cap(wi.frames)], vmFrame{})
-		}
-		wi.frames = wi.frames[:nf]
+		wi.frames = resize(wi.frames, nf)
 		for d := 0; d < nf; d++ {
 			vf := &s.vframes[d]
 			fr := &wi.frames[d]
-			nr := vf.vc.numRegs
-			if d == 0 {
-				fr.regs = s.scatArena[l*nr0 : (l+1)*nr0]
-			} else if cap(fr.regs) >= nr {
-				fr.regs = fr.regs[:nr]
-			} else {
-				fr.regs = make([]rval, nr)
-			}
 			fr.fn, fr.vc, fr.ip, fr.dst = vf.fn, vf.vc, vf.ip, vf.dst
-			for r := 0; r < nr; r++ {
-				fr.regs[r] = vf.regs[r*w+l]
+			nr := vf.vc.numRegs
+			fr.regs.reset(nr)
+			copy(fr.regs.kind, vf.regs.kind)
+			val := vf.regs.val
+			for r := range fr.regs.val {
+				fr.regs.val[r] = val[r*w+l]
+			}
+			for r, k := range vf.regs.kind {
+				if k == KPtr {
+					fr.regs.ptrs(int32(r))[0] = vf.regs.ptrs(int32(r))[l]
+				}
 			}
 		}
 		wi.status = vmRunning
@@ -1488,9 +1491,10 @@ func frameWatermark(f *vmFrame, top bool) int {
 // tryGather attempts to re-converge the surviving lanes into lockstep
 // after a barrier release: every live lane must hold an identical frame
 // stack (same functions, resume points, and return destinations) with
-// per-register kind agreement below each frame's live watermark. On
-// success the scalar state is copied back into SoA columns and vector
-// bookkeeping is reset for a fresh segment.
+// per-register kind agreement below each frame's live watermark — one
+// slice comparison per frame and lane. On success the scalar words are
+// copied back into columns and vector bookkeeping is reset for a fresh
+// segment.
 func (s *vmScheduler) tryGather() bool {
 	wis := s.wis
 	w := s.width
@@ -1513,43 +1517,35 @@ func (s *vmScheduler) tryGather() bool {
 	}
 	for d := 0; d < nf; d++ {
 		rf := &ref.frames[d]
+		wm := frameWatermark(rf, d == nf-1)
 		for _, l := range lanes[1:] {
 			of := &wis[l].frames[d]
-			if of.fn != rf.fn || of.vc != rf.vc || of.ip != rf.ip || of.dst != rf.dst {
+			if of.fn != rf.fn || of.vc != rf.vc || of.ip != rf.ip || of.dst != rf.dst ||
+				!slices.Equal(of.regs.kind[:wm], rf.regs.kind[:wm]) {
 				return false
 			}
 		}
-		wm := frameWatermark(rf, d == nf-1)
-		for r := 0; r < wm; r++ {
-			k := rf.regs[r].k
-			for _, l := range lanes[1:] {
-				if wis[l].frames[d].regs[r].k != k {
-					return false
-				}
-			}
-		}
 	}
-	for cap(s.vframes) < nf {
-		s.vframes = append(s.vframes[:cap(s.vframes)], vecFrame{})
-	}
-	s.vframes = s.vframes[:nf]
+	s.vframes = resize(s.vframes, nf)
 	for d := 0; d < nf; d++ {
 		rf := &ref.frames[d]
 		vf := &s.vframes[d]
 		vf.fn, vf.vc, vf.ip, vf.dst = rf.fn, rf.vc, rf.ip, rf.dst
-		need := rf.vc.numRegs * w
-		if d == 0 {
-			vf.regs = s.arena[:need]
-		} else if cap(vf.regs) >= need {
-			vf.regs = vf.regs[:need]
-		} else {
-			vf.regs = make([]rval, need)
-		}
+		vf.regs.resetLanes(rf.vc.numRegs, w)
 		wm := frameWatermark(rf, d == nf-1)
 		for r := 0; r < wm; r++ {
-			col := vf.regs[r*w:]
+			k := rf.regs.kind[r]
+			vf.regs.kind[r] = k
+			col := vf.regs.col(int32(r))
 			for _, l := range lanes {
-				col[l] = wis[l].frames[d].regs[r]
+				col[l] = wis[l].frames[d].regs.val[r]
+			}
+			if k == KPtr {
+				pc := vf.regs.ptrs(int32(r))
+				for _, l := range lanes {
+					pc[l] = wis[l].frames[d].regs.ptrs(int32(r))[0]
+				}
+				vf.regs.blk[r] = regatherBlock(vf.regs.blk[r], pc, lanes)
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -300,5 +301,49 @@ func TestManagerJournalsBatchMarks(t *testing.T) {
 	if last.StartEval > evals || last.StartEval+uint64(last.Size) < evals {
 		t.Fatalf("batch marks cover [0, %d..%d), journal has %d evaluations",
 			last.StartEval, last.StartEval+uint64(last.Size), evals)
+	}
+}
+
+// TestSessionFailsOnJournalWriteError: when the journal's writes start
+// failing mid-run, the session stops evaluating, ends failed with the
+// journal error in its status, and reports no more evaluations than the
+// journal holds — sequential (per-evaluation records only) and parallel
+// (batch marks too) alike.
+func TestSessionFailsOnJournalWriteError(t *testing.T) {
+	for _, par := range []int{1, 3} {
+		t.Run(fmt.Sprintf("parallelism-%d", par), func(t *testing.T) {
+			spec := parseResumeSpec(t)
+			spec.Parallelism = par
+			m, err := NewManager(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m.Shutdown()
+			s, err := m.Create(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitForEvals(t, s, 20)
+			// Break the journal under the running session: every later
+			// write fails.
+			s.journal.mu.Lock()
+			s.journal.f.Close()
+			s.journal.mu.Unlock()
+			s.Wait()
+
+			st := s.Status()
+			if st.State != StateFailed {
+				t.Fatalf("session ended %s, want %s", st.State, StateFailed)
+			}
+			if !strings.Contains(st.Error, "journal") {
+				t.Fatalf("status error %q does not name the journal", st.Error)
+			}
+			if st.Evaluations >= 300 {
+				t.Fatalf("session kept evaluating to %d after the journal failed", st.Evaluations)
+			}
+			if journaled := uint64(len(journalKeys(t, m, s.ID))); st.Evaluations > journaled {
+				t.Fatalf("status reports %d evaluations, journal holds %d", st.Evaluations, journaled)
+			}
+		})
 	}
 }

@@ -67,6 +67,7 @@ type Session struct {
 	spaceSize    uint64
 	rawSpaceSize string
 	runErr       error
+	journalErr   error // first failed journal append; stops the run
 	divergence   error
 	userCanceled bool
 }
@@ -243,9 +244,9 @@ type Manager struct {
 	closed   bool
 
 	sharedOnce  sync.Once
-	sharedCosts *outcomeCache  // nil when SharedCostCacheBytes == 0
-	spaces      *spaceCache    // nil when SpaceCacheEntries == 0
-	evalSlots   chan struct{}  // nil when MaxEvalsInFlight == 0
+	sharedCosts *outcomeCache // nil when SharedCostCacheBytes == 0
+	spaces      *spaceCache   // nil when SpaceCacheEntries == 0
+	evalSlots   chan struct{} // nil when MaxEvalsInFlight == 0
 
 	wg sync.WaitGroup
 }
@@ -606,9 +607,14 @@ func (m *Manager) run(s *Session, build *atf.SpecBuild, replayed []EvalRecord) {
 
 	canceled := s.ctx.Err() != nil
 	s.mu.Lock()
-	user := s.userCanceled
+	user, journalFailed := s.userCanceled, s.journalErr != nil
 	s.mu.Unlock()
 	switch {
+	case journalFailed:
+		// The run was stopped at its first unjournaled evaluation; its
+		// result may include evaluations past that point, so the session
+		// reports only what the journal holds.
+		s.finish(StateFailed, nil, nil)
 	case user:
 		s.finish(StateCanceled, res, nil)
 	case canceled:
@@ -630,13 +636,26 @@ func (s *Session) onBatch(mark atf.BatchMark) {
 	if mark.StartEval < s.compacted+uint64(s.replayed) {
 		return
 	}
+	if s.journalErr != nil {
+		return
+	}
 	rec := BatchRecord{Index: mark.Index, StartEval: mark.StartEval, Size: mark.Size}
 	if err := s.journal.Append(Record{Type: "batch", Batch: &rec}); err != nil {
-		s.metrics.journalErrs.Inc()
-		if s.runErr == nil {
-			s.runErr = err
-		}
+		s.failJournalLocked(err)
 	}
+}
+
+// failJournalLocked stops the run at its first failed journal append: a
+// session whose evaluations cannot be made durable must not keep
+// evaluating, and it finishes failed with the error in its status. The
+// caller holds s.mu.
+func (s *Session) failJournalLocked(err error) {
+	s.metrics.journalErrs.Inc()
+	s.journalErr = err
+	if s.runErr == nil {
+		s.runErr = err
+	}
+	s.cancel()
 }
 
 // replayOutcomes indexes journaled evaluations — the compacted prefix's
@@ -683,6 +702,9 @@ func (s *Session) onEvaluation(ev atf.Evaluation) {
 		// left to check the proposal order against.
 		return
 	}
+	if s.journalErr != nil {
+		return // stopped: evaluations still in flight are not recorded
+	}
 	if rel := ev.Index - s.compacted; rel < uint64(s.replayed) {
 		want := s.evals[rel].Key
 		if got := ev.Config.Key(); got != want && s.divergence == nil {
@@ -704,10 +726,8 @@ func (s *Session) onEvaluation(ev atf.Evaluation) {
 		rec.Error = ev.Err.Error()
 	}
 	if err := s.journal.Append(Record{Type: "eval", Eval: &rec}); err != nil {
-		s.metrics.journalErrs.Inc()
-		if s.runErr == nil {
-			s.runErr = err
-		}
+		s.failJournalLocked(err)
+		return
 	}
 	var prevAtNs int64
 	if n := len(s.evals); n > 0 {

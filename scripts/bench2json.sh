@@ -18,7 +18,9 @@
 #
 # The testing package appends "-GOMAXPROCS" only when GOMAXPROCS > 1, and
 # sub-benchmark names can legitimately end in "-N" (workers-8), so the
-# suffix is stripped only when every benchmark line carries the same one.
+# suffix is stripped only when every benchmark line of the same input
+# file carries the same one (scripts/e2e-load.sh folds the loadgen
+# numbers, which have none, into the micro-benchmarks' file).
 set -eu
 
 awk '
@@ -31,12 +33,14 @@ awk '
         if (parts[i+1] == "ns/op") {
             nb++
             names[nb] = name
+            files[nb] = FILENAME
             vals[nb] = parts[i] + 0
+            f = FILENAME
             if (match(name, /-[0-9]+$/)) {
                 sfx = substr(name, RSTART)
-                if (nb == 1 || sfx == common) common = sfx
-                else common = ""
-            } else common = ""
+                if (!(f in common)) common[f] = sfx
+                else if (common[f] != sfx) common[f] = ""
+            } else common[f] = ""
             break
         }
     }
@@ -44,7 +48,7 @@ awk '
 END {
     for (b = 1; b <= nb; b++) {
         name = names[b]
-        if (common != "") sub(/-[0-9]+$/, "", name)  # strip -GOMAXPROCS
+        if (common[files[b]] != "") sub(/-[0-9]+$/, "", name)  # strip -GOMAXPROCS
         slash = index(name, "/")
         group = slash ? substr(name, 1, slash - 1) : name
         key = slash ? substr(name, slash + 1) : ""
