@@ -1,8 +1,9 @@
 # Developer entry points; `make check` is what CI (and PR review) runs.
 
 GO ?= go
+GOFMT ?= gofmt
 
-.PHONY: all build vet test race doccheck check fmt bench benchgate e2e-dist e2e-load e2e-state fuzz-smoke perfbench-test
+.PHONY: all build vet fmtcheck test race doccheck check fmt bench benchgate e2e-dist e2e-load e2e-state fuzz-smoke perfbench-test
 
 # The benchmark suite `make bench` records and `make benchgate` gates on.
 # BenchmarkEvalDistinct is anchored so its engine-comparison sibling
@@ -16,6 +17,13 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# fmtcheck fails when any tracked Go file is not gofmt-clean. Files come
+# from git ls-files so the untracked .bench_build/ module cache is never
+# scanned.
+fmtcheck:
+	@out=$$($(GOFMT) -l $$(git ls-files '*.go')) && \
+	if [ -n "$$out" ]; then echo "fmtcheck: not gofmt-clean:" >&2; echo "$$out" >&2; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -65,11 +73,11 @@ fuzz-smoke:
 perfbench-test:
 	cd perfbench && $(GO) test .
 
-check: doccheck build test race fuzz-smoke perfbench-test e2e-load benchgate
+check: vet fmtcheck doccheck build test race fuzz-smoke perfbench-test e2e-load benchgate
 
 # bench runs the space-generation benchmark (memo on/off × workers), the
 # exploration benches, the kernel-interpreter engine comparison (walk vs
-# vm-nospec vs vm vs vm-vec) and the distinct-configuration evaluation
+# vm-vec) and the distinct-configuration evaluation
 # sample (BenchmarkEvalDistinct), 5 samples each for
 # benchdiff/benchstat. The raw text is kept in results/bench.txt and a
 # machine-readable mean-ns/op summary is written to results/bench.json;
@@ -92,4 +100,4 @@ benchgate:
 	sh scripts/benchdiff.sh -gate 25 results/bench.json $$tmp
 
 fmt:
-	gofmt -w .
+	$(GOFMT) -w $$(git ls-files '*.go')

@@ -403,11 +403,8 @@ func BenchmarkGenerateSpaceLazy(b *testing.B) {
 
 // BenchmarkKernelInterpreter measures the simulated-OpenCL substrate
 // itself: one sampled XgemmDirect launch per iteration, under each
-// execution engine. engine=walk is the tree-walking reference,
-// engine=vm-nospec the bytecode VM without define-specialization,
-// engine=vm the scalar bytecode VM (ISSUE 5 target: vm ≥5× walk), and
-// engine=vm-vec the lockstep-vectorized production path (ISSUE 6 target:
-// vm-vec ≥3× vm on XgemmDirect).
+// execution engine. engine=walk is the tree-walking reference and
+// engine=vm-vec the lockstep-vectorized production path.
 func BenchmarkKernelInterpreter(b *testing.B) {
 	dev, err := opencl.FindDevice("", "K20m")
 	if err != nil {
@@ -415,7 +412,7 @@ func BenchmarkKernelInterpreter(b *testing.B) {
 	}
 	prev := oclc.DefaultEngine()
 	defer oclc.SetDefaultEngine(prev)
-	for _, eng := range []oclc.Engine{oclc.EngineWalk, oclc.EngineVMNoSpec, oclc.EngineVM, oclc.EngineVMVec} {
+	for _, eng := range []oclc.Engine{oclc.EngineWalk, oclc.EngineVMVec} {
 		b.Run("engine="+eng.String(), func(b *testing.B) {
 			oclc.SetDefaultEngine(eng)
 			eval := clblast.NewGemmEvaluator(dev, clblast.CaffeInputSizes()[1], 1)
@@ -474,13 +471,14 @@ func BenchmarkEvalDistinct(b *testing.B) {
 	benchmarkEvalDistinct(b)
 }
 
-// BenchmarkEvalDistinctEngines runs the same sample on every engine (E11
-// on tuning's real workload; one walk op takes about ten seconds on a
-// 2-vCPU Xeon). It is not part of the make bench suite.
+// BenchmarkEvalDistinctEngines runs the same sample on both engines, the
+// walker against vm-vec on tuning's real workload (one walk op takes
+// about ten seconds on a 2-vCPU Xeon). It is not part of the make bench
+// suite.
 func BenchmarkEvalDistinctEngines(b *testing.B) {
 	prev := oclc.DefaultEngine()
 	defer oclc.SetDefaultEngine(prev)
-	for _, eng := range []oclc.Engine{oclc.EngineWalk, oclc.EngineVMNoSpec, oclc.EngineVM, oclc.EngineVMVec} {
+	for _, eng := range []oclc.Engine{oclc.EngineWalk, oclc.EngineVMVec} {
 		b.Run("engine="+eng.String(), func(b *testing.B) {
 			oclc.SetDefaultEngine(eng)
 			benchmarkEvalDistinct(b)

@@ -13,6 +13,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"atf/internal/harness"
@@ -20,9 +21,11 @@ import (
 	"atf/internal/oclc"
 )
 
+// experiments names every -exp value; "all" runs each of them.
+const experiments = "all, fig2cpu, fig2gpu, spacegen, sizes, relaxed, otvalid, defaults, groups, gentime, vec, lazyspace, sweep"
+
 func main() {
-	exp := flag.String("exp", "all",
-		"experiment: all, fig2cpu, fig2gpu, spacegen, sizes, relaxed, otvalid, defaults, groups, gentime, interp, vec, lazyspace, sweep")
+	exp := flag.String("exp", "all", "experiment: "+experiments)
 	cap := flag.Int64("cap", 64, "XgemmDirect integer range cap")
 	sizeCaps := flag.String("sizecaps", "16,64,256",
 		"comma-separated range caps for the E4 size census (1024 reproduces the paper's 2^10 setting; allow a few minutes)")
@@ -38,10 +41,14 @@ func main() {
 	memo := flag.String("memo", "both",
 		"gentime memoization ablation: on, off, or both (one table row per mode)")
 	engine := flag.String("engine", "",
-		"oclc execution engine for kernel launches: vm-vec (default), vm, walk, vm-nospec")
-	interpEvals := flag.Int("interp-evals", 20, "timed cost evaluations per engine in the E11/E12 ablations")
+		"oclc execution engine for kernel launches: vm-vec (default) or walk (the reference interpreter)")
+	interpEvals := flag.Int("interp-evals", 20, "timed cost evaluations per engine in the E12 ablation")
 	flag.Parse()
 
+	if !slices.Contains(strings.Split(experiments, ", "), *exp) {
+		fmt.Fprintf(os.Stderr, "atf-experiments: unknown experiment %q (want one of %s)\n", *exp, experiments)
+		os.Exit(2)
+	}
 	eng, err := oclc.ParseEngine(*engine)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "atf-experiments:", err)
@@ -189,13 +196,6 @@ func main() {
 			rs = append(rs, r)
 		}
 		emit(harness.SweepTable(rs))
-	}
-	if want("interp") {
-		r, err := harness.Interp("Xeon", *interpEvals, opts)
-		if err != nil {
-			fail(err)
-		}
-		emit(harness.InterpTable(r))
 	}
 	if want("vec") {
 		r, err := harness.VecAblate("K20m", *interpEvals, opts)

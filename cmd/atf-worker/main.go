@@ -28,7 +28,6 @@ import (
 
 	"atf/internal/dist"
 	"atf/internal/obs"
-	"atf/internal/oclc"
 )
 
 func main() {
@@ -37,17 +36,7 @@ func main() {
 	advertise := flag.String("advertise", "", "base URL the coordinator reaches this worker at (default http://<addr>)")
 	name := flag.String("name", "", "worker name in fleet listings and metrics (default host:port)")
 	parallelism := flag.Int("parallelism", 0, "concurrent evaluations per request (0 = NumCPU)")
-	engine := flag.String("engine", "",
-		"oclc execution engine for kernel launches: vm-vec (default), vm, walk, vm-nospec (docs/OPERATIONS.md)")
 	flag.Parse()
-
-	eng, err := oclc.ParseEngine(*engine)
-	if err != nil {
-		fail(err)
-	}
-	if eng != oclc.EngineDefault {
-		oclc.SetDefaultEngine(eng)
-	}
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {

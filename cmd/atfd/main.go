@@ -55,8 +55,6 @@ func main() {
 	dir := flag.String("journal-dir", "atfd-journals", "tuning journal directory")
 	enablePprof := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	trace := flag.Bool("trace", false, "log structured span/trace events to stderr")
-	engine := flag.String("engine", "",
-		"oclc execution engine for kernel launches: vm-vec (default), vm, walk, vm-nospec (docs/OPERATIONS.md)")
 	fleet := flag.Bool("fleet", true, "coordinate remote eval workers (cmd/atf-worker) on /v1/workers")
 	maxSpaceBytes := flag.Int64("max-space-bytes", 256<<20,
 		"default per-session memory bound on lazy search-space construction; 0 = unbounded (specs override with max_space_bytes)")
@@ -86,13 +84,6 @@ func main() {
 		"overlap batch dispatch with result merging for cost-oblivious techniques (exhaustive, random)")
 	flag.Parse()
 
-	eng, err := oclc.ParseEngine(*engine)
-	if err != nil {
-		fail(err)
-	}
-	if eng != oclc.EngineDefault {
-		oclc.SetDefaultEngine(eng)
-	}
 	oclc.SetCompileCacheBudget(*compileCacheBytes)
 
 	if *trace {

@@ -22,7 +22,7 @@ type VecAblateRow struct {
 // VecAblateResult is experiment E12: the lockstep-vectorization ablation.
 // Two cost-evaluation workloads — a bandwidth-style saxpy launch and the
 // XgemmDirect evaluation every tuning run is made of — are timed under the
-// tree-walking reference, the scalar bytecode VM, and the vectorized VM.
+// tree-walking reference and the vectorized VM.
 // The lanes-active histogram delta over the vm-vec runs records how much
 // lockstep width the vectorizer actually sustained (scalar fallbacks and
 // partial re-gathers show up as observations below the group size).
@@ -105,7 +105,7 @@ func VecAblate(deviceName string, evals int, opts Options) (*VecAblateResult, er
 			}
 		}},
 	}
-	engines := []oclc.Engine{oclc.EngineWalk, oclc.EngineVM, oclc.EngineVMVec}
+	engines := []oclc.Engine{oclc.EngineWalk, oclc.EngineVMVec}
 
 	prev := oclc.DefaultEngine()
 	defer oclc.SetDefaultEngine(prev)
@@ -197,7 +197,7 @@ func VecAblateTable(r *VecAblateResult) *Table {
 		})
 	}
 	t.Notes = append(t.Notes,
-		"walk = tree-walking reference; vm = scalar bytecode VM; vm-vec = lockstep work-group vectorization with scalar fallback on divergence",
+		"walk = tree-walking reference; vm-vec = lockstep work-group vectorization with scalar fallback on divergence",
 		fmt.Sprintf("lanes-active per vector segment during vm-vec evals: mean %.1f, distribution %s",
 			r.LanesMean, lanesDistribution(r)))
 	return t

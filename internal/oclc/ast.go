@@ -1,7 +1,5 @@
 package oclc
 
-import "sync"
-
 // ValKind classifies runtime value types in the interpreter's dynamic type
 // system. All integer widths collapse to int64 and all floating widths to
 // float64; this preserves C's int-vs-float semantics (notably integer
@@ -246,12 +244,10 @@ type Function struct {
 	// locations for the coalescing analysis.
 	siteCount int
 
-	// vm / vmNoSpec are the bytecode forms produced by lowering
-	// (compile.go) — specialized and unspecialized respectively. nil when
-	// lowering was skipped or bailed out; Launch then falls back to the
-	// tree-walking engine.
-	vm       *vmCode
-	vmNoSpec *vmCode
+	// vm is the define-specialized bytecode produced by lowering
+	// (compile.go). nil when lowering was skipped or bailed out; Launch
+	// then falls back to the tree-walking engine.
+	vm *vmCode
 }
 
 // Program is a parsed translation unit.
@@ -259,10 +255,6 @@ type Program struct {
 	Funcs map[string]*Function
 	// Source retains the preprocessed source for diagnostics.
 	Source string
-
-	// noSpecOnce guards the lazy unspecialized lowering used by the
-	// EngineVMNoSpec ablation.
-	noSpecOnce sync.Once
 }
 
 // Kernel returns the named kernel function.

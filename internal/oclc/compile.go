@@ -20,37 +20,27 @@ var mCompileNs = obs.NewHistogram("atf_oclc_compile_ns",
 // tree-walking interpreter, so Compile never fails because of the VM.
 func (p *Program) lower() {
 	start := time.Now()
-	lowerProgram(p, true)
+	lowerProgram(p)
 	mCompileNs.Observe(float64(time.Since(start).Nanoseconds()))
 }
 
-// ensureNoSpec lazily lowers the unspecialized variant used by
-// EngineVMNoSpec (the E11 ablation); most launches never need it.
-func (p *Program) ensureNoSpec() {
-	p.noSpecOnce.Do(func() { lowerProgram(p, false) })
-}
-
 // lowerProgram lowers all functions or none: opCallFn assumes its callee
-// has a compiled body under the same variant.
-func lowerProgram(p *Program, spec bool) {
+// has a compiled body.
+func lowerProgram(p *Program) {
 	codes := make(map[*Function]*vmCode, len(p.Funcs))
 	for _, fn := range p.Funcs {
-		vc := lowerFunction(p, fn, spec)
+		vc := lowerFunction(p, fn)
 		if vc == nil {
 			return
 		}
 		codes[fn] = vc
 	}
 	for fn, vc := range codes {
-		if spec {
-			fn.vm = vc
-		} else {
-			fn.vmNoSpec = vc
-		}
+		fn.vm = vc
 	}
 }
 
-func lowerFunction(p *Program, fn *Function, spec bool) (vc *vmCode) {
+func lowerFunction(p *Program, fn *Function) (vc *vmCode) {
 	defer func() {
 		if r := recover(); r != nil {
 			vc = nil // unexpected AST shape: keep the walker for this program
@@ -59,7 +49,6 @@ func lowerFunction(p *Program, fn *Function, spec bool) (vc *vmCode) {
 	c := &compiler{
 		prog:    p,
 		fn:      fn,
-		spec:    spec,
 		vc:      &vmCode{},
 		tempTop: int32(fn.NumSlots),
 		maxRegs: fn.NumSlots,
@@ -87,7 +76,6 @@ type compiler struct {
 	prog *Program
 	fn   *Function
 	vc   *vmCode
-	spec bool
 
 	tempTop int32
 	maxRegs int
@@ -140,9 +128,9 @@ var cmpKinds = map[opcode]int32{
 }
 
 // emitCondBranch emits the branch-if-false on creg together with the
-// associated counter bump (iter: opCtrBranch, opCtrLoop, opCtrUnroll, or
-// opNop for none), fusing all of it into the comparison instruction that
-// produced creg when there is one. cond is the source condition; when the
+// associated counter bump (iter: opCtrBranch, opCtrLoop or opCtrUnroll),
+// fusing all of it into the comparison instruction that produced creg
+// when there is one. cond is the source condition; when the
 // uniformity analysis proves it work-item-ID-independent the branch
 // carries the brUniform hint for the vector engine. Returns the index to
 // patch with the false-path target. The counter reorderings are
@@ -261,11 +249,6 @@ func (c *compiler) fold(e Expr, delta *Counters) (rval, foldKind, error) {
 		return intVal(x.V), foldVal, nil
 	case *FloatLit:
 		return floatVal(x.V), foldVal, nil
-	}
-	if !c.spec {
-		return rval{}, foldNo, nil
-	}
-	switch x := e.(type) {
 	case *Cast:
 		v, k, err := c.fold(x.X, delta)
 		if k != foldVal {

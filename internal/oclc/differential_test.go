@@ -1,13 +1,14 @@
 package oclc_test
 
 // Differential testing of the execution engines: every corpus kernel runs
-// under the tree-walking reference interpreter, the specialized bytecode
-// VM, the unspecialized VM, and the lockstep-vectorized VM, across several
-// define-sets, and the test asserts identical observable behaviour —
-// buffer contents bit-for-bit, the full Counters struct, execution
-// geometry, the divergence flag, and error strings. This is the
-// acceptance gate that lets a VM replace the walker as the default
-// engine.
+// under the tree-walking reference interpreter and the lockstep-vectorized
+// VM, across several define-sets, and the test asserts identical
+// observable behaviour — buffer contents bit-for-bit, the full Counters
+// struct, execution geometry, the divergence flag, and error strings.
+// This is the acceptance gate that lets the VM replace the walker as the
+// default engine. Kernels with work-item-dependent branches also run the
+// VM's scalar per-item frames (its divergence fallback), so those are
+// held to the walker too.
 
 import (
 	"fmt"
@@ -317,6 +318,118 @@ var diffCorpus = []diffCase{
 		global:  [2]int64{16, 0}, local: [2]int64{8, 0},
 		bufs: []int{16, -16},
 	},
+	{
+		// The VM's scalar per-item frames, its divergence fallback, are
+		// the only place these forms run: the unhinted branch on the
+		// local id scatters the group, and every lane then executes the
+		// rest of the segment on its own frame — unfused register
+		// comparisons, int and float immediate arithmetic, prefix and
+		// postfix increments, folded-constant counter bumps, !/~, fma, a
+		// runtime-sized private array, loops whose conditions do not fuse
+		// (|| and &&), and an unrolled loop with a runtime bound.
+		// Barriers in the two arms of one branch release the group
+		// without re-converging it, so the code after them stays scalar.
+		name: "scalar-fallback-ops",
+		src: `__kernel void sfo(__global float* out, __global int* iout, const int n, const float s) {
+		  const int l = get_local_id(0);
+		  const int g = get_global_id(0);
+		  int i = g + n;
+		  int d = g - 2;
+		  float f = (float)(g) + s;
+		  if (l & 1) { i = i * 3; f = f + 0.25f; } else { d = d * 5; }
+		  int cmp = (i == d) + 2 * (i != d) + 4 * (i < d) + 8 * (i > d) + 16 * (i <= d) + 32 * (i >= d);
+		  int isub = i - d;
+		  int iimm = (i - 3) * 7 + (3 - i) + i / 2 + i % 5 + i % (d | 1);
+		  float fimm = (f + 2) + (f - 3) * (5 - f) + f * 4 + f / 8;
+		  int fcmp = (f == 3) + 2 * (f < 4) + 4 * (f >= 2);
+		  float fdiv = f / s;
+		  int pre = ++i + --d;
+		  int post = i++ + d--;
+		  float fpre = ++f;
+		  float fpost = f--;
+		  int nots = !i + !f + ~d + ~(i & 7);
+		  float fm = fma(f, s, fdiv);
+		  float folded = f * (2.0f * 1.5f) + (float)(2 + 3) * 1.25f;
+		  float acc = 0.0f;
+		  #pragma unroll
+		  for (int u = 0; u < n; u++) { acc += (float)(u) * f; }
+		  int flag = (i > d) || (d > 100);
+		  int w = 0;
+		  for (int k = 0; flag && k < 3; k++) { w += k; }
+		  #pragma unroll
+		  for (int k = 0; flag && k < 2; k++) { w += 2 * k; }
+		  float tmp[n];
+		  int itmp[2];
+		  tmp[0] = f;
+		  tmp[n - 1] = s;
+		  ++tmp[0];
+		  tmp[n - 1]--;
+		  itmp[0] = w;
+		  itmp[1] = itmp[0]++;
+		  iout[g] = cmp + 64 * isub + iimm + pre + post + fcmp + nots + flag + w + itmp[0] + itmp[1];
+		  out[g] = fimm + fdiv + fpre + fpost + fm + folded + acc + tmp[0] + tmp[n - 1];
+		  if (l & 2) { barrier(0); } else { barrier(0); }
+		  out[g] = out[g] * 0.5f + (float)(iout[g] % 7);
+		  barrier(0);
+		  iout[g] = iout[g] - (int)(out[g]);
+		}`,
+		kernel: "sfo",
+		global: [2]int64{16, 0}, local: [2]int64{8, 0},
+		bufs:    []int{16, -16, 0, 0},
+		scalars: []oclc.Arg{oclc.IntArg(3), oclc.FloatArg(1.5)},
+	},
+	{
+		// Per-lane runtime errors on scalar frames: after the scatter each
+		// lane fails a different check, and the launch reports the first
+		// failing lane's error in local id order under both engines.
+		name: "scalar-fallback-errors",
+		src: `__kernel void sfe(__global float* out, __global int* sel) {
+		  const int l = get_local_id(0);
+		  const int g = get_global_id(0);
+		  const int z = sel[g] - sel[g];
+		  int x = g;
+		  float f = (float)(g) + 0.5f;
+		  if (l == 0) { out[g] = f; }
+		  else if (l == 1) { out[g] = (float)(g % z); }
+		  else if (l == 2) { out[g] = (float)(g / z); }
+		  else if (l == 3) { out[g] = f % x; }
+		  else if (l == 4) { out[g] = (float)(f << x); }
+		  else if (l == 5) { out[g] = f % 3; }
+		  else if (l == 6) { out[g] = (float)(f << 2); }
+		  else if (l == 7) { out[g] = out[g + 1000]; }
+		  else if (l == 8) { out[g + 1000] = f; }
+		  else if (l == 9) { out[g] = (float)(x[g / (z + 1)]); }
+		  else if (l == 10) { out[g] = (float)(x[g]); }
+		  else if (l == 11) { out[g] = out[g][1]; }
+		  else if (l == 12) { out[g] = out[0][g / (z + 1)]; }
+		  else if (l == 13) { float t[z - l]; t[0] = f; out[g] = t[0]; }
+		  else if (l == 14) { out[g] = (float)(4 / (N - N)); }
+		  else { out[g] = pow(f); }
+		}`,
+		defines: map[string]string{"N": "3"},
+		kernel:  "sfe",
+		global:  [2]int64{16, 0}, local: [2]int64{16, 0},
+		bufs: []int{16, -16},
+	},
+	{
+		// Lanes that fail in lockstep owe the barrier a leave event:
+		// deaths before a barrier every survivor reaches in lockstep are
+		// replayed there, and deaths before a divergent branch are
+		// replayed by the scalar scheduler after the scatter.
+		name: "lockstep-deaths",
+		src: `__kernel void ld(__global float* out, __global int* sel) {
+		  const int g = get_global_id(0);
+		  float v = out[g + sel[g]];
+		  barrier(0);
+		  float w = out[sel[g] * 3];
+		  if (get_local_id(0) & 1) { v = v + w; }
+		  barrier(0);
+		  out[g] = v;
+		}`,
+		kernel: "ld",
+		global: [2]int64{16, 0}, local: [2]int64{8, 0},
+		bufs: []int{16, -16},
+	},
 }
 
 // diffRun executes one case under one engine with fresh buffers and
@@ -406,16 +519,14 @@ func TestDifferentialEngines(t *testing.T) {
 	for _, tc := range diffCorpus {
 		t.Run(tc.name, func(t *testing.T) {
 			ref := runDiffCase(t, tc, oclc.EngineWalk)
-			for _, eng := range []oclc.Engine{oclc.EngineVM, oclc.EngineVMNoSpec, oclc.EngineVMVec} {
-				compareRuns(t, eng, ref, runDiffCase(t, tc, eng))
-			}
+			compareRuns(t, oclc.EngineVMVec, ref, runDiffCase(t, tc, oclc.EngineVMVec))
 		})
 	}
 }
 
 // TestDifferentialXgemmDirect runs the full CLBlast XgemmDirect kernel —
-// the tuning workload the VM was built for — under all four engines
-// across several configurations and compares results and counters.
+// the tuning workload the VM was built for — under both engines across
+// several configurations and compares results and counters.
 func TestDifferentialXgemmDirect(t *testing.T) {
 	if testing.Short() {
 		t.Skip("XgemmDirect differential is slow")
@@ -479,23 +590,21 @@ func TestDifferentialXgemmDirect(t *testing.T) {
 			if ref.err != nil {
 				t.Fatalf("walk failed: %v", ref.err)
 			}
-			for _, eng := range []oclc.Engine{oclc.EngineVM, oclc.EngineVMNoSpec, oclc.EngineVMVec} {
-				got := run(eng)
-				if got.err != nil {
-					t.Fatalf("%v failed: %v", eng, got.err)
+			got := run(oclc.EngineVMVec)
+			if got.err != nil {
+				t.Fatalf("vm-vec failed: %v", got.err)
+			}
+			for i := range ref.c {
+				if ref.c[i] != got.c[i] {
+					t.Fatalf("vm-vec: C[%d] = %v, walk has %v", i, got.c[i], ref.c[i])
 				}
-				for i := range ref.c {
-					if ref.c[i] != got.c[i] {
-						t.Fatalf("%v: C[%d] = %v, walk has %v", eng, i, got.c[i], ref.c[i])
-					}
-				}
-				if ref.res.Counters != got.res.Counters {
-					t.Fatalf("%v: counters mismatch:\n  walk: %+v\n  %v: %+v",
-						eng, ref.res.Counters, eng, got.res.Counters)
-				}
-				if ref.res.Divergent != got.res.Divergent || ref.res.LocalBytes != got.res.LocalBytes {
-					t.Fatalf("%v: geometry mismatch", eng)
-				}
+			}
+			if ref.res.Counters != got.res.Counters {
+				t.Fatalf("vm-vec: counters mismatch:\n  walk: %+v\n  vm-vec: %+v",
+					ref.res.Counters, got.res.Counters)
+			}
+			if ref.res.Divergent != got.res.Divergent || ref.res.LocalBytes != got.res.LocalBytes {
+				t.Fatal("vm-vec: geometry mismatch")
 			}
 		})
 	}

@@ -6,38 +6,28 @@ import (
 )
 
 // Engine selects how Launch executes work-items. The lockstep-vectorized
-// bytecode VM (vm-vec) is the production engine; the scalar VM remains for
-// ablation, and the tree-walking interpreter stays as the reference
-// implementation for differential testing (results/interp.md).
-// EngineVMNoSpec runs the scalar VM on bytecode compiled without
-// define-specialization (no constant folding, no dead-branch
-// elimination), isolating the specialization win in the E11 ablation.
+// bytecode VM (vm-vec) is the production engine; the tree-walking
+// interpreter stays as the reference implementation for differential
+// testing and as the fallback for programs without bytecode
+// (results/interp.md).
 type Engine uint8
 
 const (
 	// EngineDefault resolves to the process default (SetDefaultEngine).
 	EngineDefault Engine = iota
-	// EngineVM executes define-specialized bytecode.
-	EngineVM
 	// EngineWalk executes the AST directly (reference engine).
 	EngineWalk
-	// EngineVMNoSpec executes unspecialized bytecode (ablation).
-	EngineVMNoSpec
-	// EngineVMVec executes specialized bytecode in lockstep over a whole
-	// work-group (SoA register files, one dispatch per instruction per
-	// group), falling back to per-item scalar frames on control-flow
+	// EngineVMVec executes define-specialized bytecode in lockstep over a
+	// whole work-group (SoA register files, one dispatch per instruction
+	// per group), falling back to per-item scalar frames on control-flow
 	// divergence (vmvec.go).
 	EngineVMVec
 )
 
 func (e Engine) String() string {
 	switch e {
-	case EngineVM:
-		return "vm"
 	case EngineWalk:
 		return "walk"
-	case EngineVMNoSpec:
-		return "vm-nospec"
 	case EngineVMVec:
 		return "vm-vec"
 	default:
@@ -50,27 +40,23 @@ func ParseEngine(s string) (Engine, error) {
 	switch s {
 	case "", "default":
 		return EngineDefault, nil
-	case "vm":
-		return EngineVM, nil
 	case "walk":
 		return EngineWalk, nil
-	case "vm-nospec", "nospec":
-		return EngineVMNoSpec, nil
 	case "vm-vec", "vec":
 		return EngineVMVec, nil
 	}
-	return EngineDefault, fmt.Errorf("oclc: unknown engine %q (want vm-vec, vm, walk, or vm-nospec)", s)
+	return EngineDefault, fmt.Errorf("oclc: unknown engine %q (want vm-vec or walk)", s)
 }
 
 // defaultEngine is the process-wide engine used when ExecOptions.Engine is
-// EngineDefault. Stored atomically so the -engine escape hatch and tests
-// can flip it while exploration workers launch kernels concurrently.
+// EngineDefault. Stored atomically so tests and harness runs can flip it
+// while exploration workers launch kernels concurrently.
 var defaultEngine atomic.Int32
 
 func init() { defaultEngine.Store(int32(EngineVMVec)) }
 
-// SetDefaultEngine selects the process-wide execution engine (the -engine
-// flag and harness.Options.Engine land here).
+// SetDefaultEngine selects the process-wide execution engine (the
+// atf-experiments -engine flag and harness.Options.Engine land here).
 func SetDefaultEngine(e Engine) {
 	if e == EngineDefault {
 		e = EngineVMVec

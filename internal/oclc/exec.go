@@ -92,9 +92,9 @@ type ExecOptions struct {
 	// work-group for the coalescing analysis.
 	RecordAccesses bool
 	// Engine selects the execution engine for this launch; EngineDefault
-	// uses the process default (SetDefaultEngine). A VM engine silently
-	// falls back to the walker when the program has no bytecode (bare
-	// Parse, or lowering bailed out).
+	// uses the process default (SetDefaultEngine). vm-vec silently falls
+	// back to the walker when the program has no bytecode (bare Parse, or
+	// lowering bailed out).
 	Engine Engine
 }
 
@@ -158,9 +158,10 @@ func (g *wgCtx) LocalBytes() int64 {
 	return b
 }
 
-// Launch executes a kernel over the NDRange. Work-items of a group run as
-// goroutines synchronized by a cyclic barrier; groups run sequentially
-// (the simulated clock, not host parallelism, models device concurrency).
+// Launch executes a kernel over the NDRange. Groups run sequentially (the
+// simulated clock, not host parallelism, models device concurrency); a
+// group's work-items run on the VM scheduler, or on the walker as
+// goroutines synchronized by a cyclic barrier.
 func (p *Program) Launch(kernelName string, args []Arg, cfg LaunchConfig, opts ExecOptions) (*ExecResult, error) {
 	fn, err := p.Kernel(kernelName)
 	if err != nil {
@@ -183,14 +184,9 @@ func (p *Program) Launch(kernelName string, args []Arg, cfg LaunchConfig, opts E
 		limit = int64(opts.SampleGroups)
 	}
 
-	eng := opts.Engine.resolve()
 	var vc *vmCode
-	switch eng {
-	case EngineVM, EngineVMVec:
+	if opts.Engine.resolve() == EngineVMVec {
 		vc = fn.vm
-	case EngineVMNoSpec:
-		p.ensureNoSpec()
-		vc = fn.vmNoSpec
 	}
 
 	// Per-group scratch is hoisted out of the group loop: the aggregation
@@ -201,7 +197,7 @@ func (p *Program) Launch(kernelName string, args []Arg, cfg LaunchConfig, opts E
 	errs := make([]error, n)
 	var sched *vmScheduler
 	if vc != nil {
-		sched = newVMScheduler(p, fn, vc, eng, args, n)
+		sched = newVMScheduler(p, fn, vc, args, n)
 		defer sched.release()
 	}
 
@@ -311,54 +307,41 @@ func (p *Program) runGroup(fn *Function, args []Arg, wg *wgCtx, agg *Counters, c
 
 // replayDivergence is the divergence flag of a group whose work-item i
 // arrived at barriers[i] barriers before it finished, under the VM
-// schedulers' cooperative protocol (vmScheduler.runGroup): passes over
-// the runnable work-items in linear local id order, each running to its
-// next barrier or its end; the last live arriver releases a barrier, and
-// a finisher releases the waiters — flagging divergence — once every
-// other live work-item waits. The walker's goroutines meet at a
-// free-running cyclicBarrier, whose own flag depends on which goroutine
-// gets there first; replaying the per-item barrier counts makes the
-// walker's flag deterministic and equal to the VM engines'.
+// scheduler's cooperative protocol (runScalar): passes over the runnable
+// work-items in linear local id order, each running to its next barrier or
+// its end, meeting at a barrierCount. The walker's goroutines meet at a
+// free-running cyclicBarrier, whose own flag would depend on which
+// goroutine gets there first; replaying the per-item barrier counts makes
+// the walker's flag deterministic and equal to the VM's.
 func replayDivergence(barriers []int64) bool {
-	n := len(barriers)
 	left := append([]int64(nil), barriers...)
-	status := make([]vmStatus, n)
-	parties, waiting, live := n, 0, n
-	divergent := false
-	release := func() {
-		for i := range status {
-			if status[i] == vmWaiting {
-				status[i] = vmRunning
-			}
-		}
-		waiting = 0
-	}
-	for live > 0 {
+	status := make([]vmStatus, len(left))
+	bar := barrierCount{parties: len(left)}
+	for live := len(left); live > 0; {
 		for i := range status {
 			if status[i] != vmRunning {
 				continue
 			}
+			var released bool
 			if left[i] > 0 {
 				left[i]--
 				status[i] = vmWaiting
-				waiting++
-				if waiting >= parties {
-					release()
-				}
-				continue
+				released = bar.arrive()
+			} else {
+				status[i] = vmDone
+				live--
+				released = bar.leave()
 			}
-			status[i] = vmDone
-			live--
-			parties--
-			if parties > 0 && waiting >= parties {
-				if waiting > 0 {
-					divergent = true
+			if released {
+				for j := range status {
+					if status[j] == vmWaiting {
+						status[j] = vmRunning
+					}
 				}
-				release()
 			}
 		}
 	}
-	return divergent
+	return bar.divergent
 }
 
 func argToRval(a Arg) rval {
@@ -371,21 +354,61 @@ func argToRval(a Arg) rval {
 	return intVal(a.Scalar.I)
 }
 
-// cyclicBarrier synchronizes the work-items of one group. A work-item
-// that finishes execution leaves the barrier (reducing the participant
-// count) so that divergent control flow degrades into a flagged release
-// instead of a deadlock.
-type cyclicBarrier struct {
-	mu        sync.Mutex
-	cond      *sync.Cond
+// barrierCount is the one work-group barrier rule every engine follows:
+// parties work-items owe the current barrier an event, either an arrival
+// (arrive) or finishing execution (leave). The barrier releases when the
+// last live party arrives, or when a finisher leaves every other live
+// party waiting — divergent control flow, undefined behaviour in OpenCL,
+// which the simulator degrades into a flagged release instead of a
+// deadlock. Callers keep their own work-item status bookkeeping and wake
+// their waiters when arrive or leave reports a release.
+type barrierCount struct {
 	parties   int
 	waiting   int
-	gen       int
-	divergent bool
+	divergent bool // sticky: some release was a divergent one
+}
+
+// rebase restarts the count at a point where nobody waits and parties
+// work-items owe the barrier an event; the divergence flag is kept.
+func (b *barrierCount) rebase(parties int) {
+	b.parties, b.waiting = parties, 0
+}
+
+// arrive counts one waiter and reports whether the barrier released.
+func (b *barrierCount) arrive() bool {
+	b.waiting++
+	if b.waiting >= b.parties {
+		b.waiting = 0
+		return true
+	}
+	return false
+}
+
+// leave retires a finished party and reports whether that released the
+// waiters, which flags divergence.
+func (b *barrierCount) leave() bool {
+	b.parties--
+	if b.parties > 0 && b.waiting >= b.parties {
+		b.divergent = true
+		b.waiting = 0
+		return true
+	}
+	return false
+}
+
+// cyclicBarrier synchronizes the walker's work-item goroutines of one
+// group under barrierCount's rule. A work-item that finishes execution
+// leaves the barrier so that divergent control flow degrades into a
+// release instead of a deadlock.
+type cyclicBarrier struct {
+	mu    sync.Mutex
+	cond  *sync.Cond
+	count barrierCount
+	gen   int
 }
 
 func newCyclicBarrier(n int) *cyclicBarrier {
-	b := &cyclicBarrier{parties: n}
+	b := &cyclicBarrier{count: barrierCount{parties: n}}
 	b.cond = sync.NewCond(&b.mu)
 	return b
 }
@@ -394,8 +417,7 @@ func newCyclicBarrier(n int) *cyclicBarrier {
 func (b *cyclicBarrier) await() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.waiting++
-	if b.waiting >= b.parties {
+	if b.count.arrive() {
 		b.release()
 		return
 	}
@@ -406,22 +428,17 @@ func (b *cyclicBarrier) await() {
 }
 
 // leave removes a finished work-item from the participant set, releasing
-// the barrier if everyone else is already waiting (divergence).
+// the barrier if everyone else is already waiting.
 func (b *cyclicBarrier) leave() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.parties--
-	if b.parties > 0 && b.waiting >= b.parties {
-		if b.waiting > 0 {
-			b.divergent = true
-		}
+	if b.count.leave() {
 		b.release()
 	}
 }
 
 // release opens the current generation; callers hold the lock.
 func (b *cyclicBarrier) release() {
-	b.waiting = 0
 	b.gen++
 	b.cond.Broadcast()
 }

@@ -58,16 +58,13 @@ func TestCyclicBarrierReleasesAll(t *testing.T) {
 			t.Fatalf("participant %d completed %d rounds", i, c)
 		}
 	}
-	if b.divergent {
-		t.Fatal("uniform barrier flagged divergent")
-	}
 }
 
 func TestCyclicBarrierDivergenceRelease(t *testing.T) {
 	// 3 participants block at the barrier, then the 4th leaves without
-	// ever reaching it: the barrier must release the waiters and flag
-	// divergence, not deadlock. The leaver waits until all three are
-	// provably blocked so the scenario is deterministic.
+	// ever reaching it: the barrier must release the waiters, not
+	// deadlock. The leaver waits until all three are provably blocked so
+	// the scenario is deterministic.
 	b := newCyclicBarrier(4)
 	var wg sync.WaitGroup
 	for i := 0; i < 3; i++ {
@@ -80,7 +77,7 @@ func TestCyclicBarrierDivergenceRelease(t *testing.T) {
 	}
 	for {
 		b.mu.Lock()
-		w := b.waiting
+		w := b.count.waiting
 		b.mu.Unlock()
 		if w == 3 {
 			break
@@ -88,8 +85,40 @@ func TestCyclicBarrierDivergenceRelease(t *testing.T) {
 	}
 	b.leave() // the 4th exits without awaiting
 	wg.Wait()
-	if !b.divergent {
-		t.Fatal("divergence not flagged")
+}
+
+// TestBarrierCountRule pins the barrier rule shared by every engine: the
+// last live arriver releases without flagging divergence, and a finisher
+// that leaves every other live party waiting releases them and flags it.
+func TestBarrierCountRule(t *testing.T) {
+	b := barrierCount{parties: 3}
+	for round := 0; round < 2; round++ {
+		if b.arrive() || b.arrive() {
+			t.Fatalf("round %d: released before the last arrival", round)
+		}
+		if !b.arrive() {
+			t.Fatalf("round %d: last arrival did not release", round)
+		}
+	}
+	if b.leave() {
+		t.Fatal("a leave with nobody waiting released")
+	}
+	if b.divergent {
+		t.Fatal("uniform rounds and a quiet leave flagged divergence")
+	}
+	// Two parties left: one waits, the other finishes.
+	if b.arrive() {
+		t.Fatal("released with a party still running")
+	}
+	if !b.leave() || !b.divergent {
+		t.Fatalf("finisher did not release the waiter with divergence: %+v", b)
+	}
+	if b.waiting != 0 || b.parties != 1 {
+		t.Fatalf("after the divergent release: %+v, want 1 party, none waiting", b)
+	}
+	b.rebase(4)
+	if b.parties != 4 || b.waiting != 0 || !b.divergent {
+		t.Fatalf("rebase must reset the counts and keep the flag: %+v", b)
 	}
 }
 

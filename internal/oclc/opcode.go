@@ -9,6 +9,7 @@ package oclc
 type opcode uint8
 
 const (
+	// opNop is never emitted: a zeroed instruction is an unknown opcode.
 	opNop opcode = iota
 
 	// Control flow.
@@ -114,7 +115,7 @@ const (
 )
 
 // Uniformity hints (compile.go, uniform.go), consumed only by the
-// lockstep-vectorized engine (vmvec.go); the scalar VM ignores them. A
+// lockstep-vectorized execution (vmvec.go); the scalar frames ignore them. A
 // hinted branch is proven work-item-ID-independent: every lane of a
 // work-group executing in lockstep takes the same direction, so the
 // vector engine decides it once instead of checking per-lane agreement.

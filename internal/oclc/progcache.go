@@ -30,33 +30,6 @@ var (
 		"Wall-clock time of one cold kernel compile (preprocess+lex+parse)", nil)
 )
 
-// Engine-labeled views of the cache counters (DESIGN.md §3c): the same
-// events as the unlabeled totals, attributed to the process-default engine
-// active at lookup time, so operators can see which engine a tuning run's
-// compiles fed.
-var (
-	mCompileHitsByEngine = map[Engine]*obs.Counter{
-		EngineVM: obs.NewCounter(`atf_oclc_compile_cache_hits_total{engine="vm"}`,
-			"Compile-cache hits while the vm engine was the process default"),
-		EngineWalk: obs.NewCounter(`atf_oclc_compile_cache_hits_total{engine="walk"}`,
-			"Compile-cache hits while the walk engine was the process default"),
-		EngineVMNoSpec: obs.NewCounter(`atf_oclc_compile_cache_hits_total{engine="vm-nospec"}`,
-			"Compile-cache hits while the vm-nospec engine was the process default"),
-		EngineVMVec: obs.NewCounter(`atf_oclc_compile_cache_hits_total{engine="vm-vec"}`,
-			"Compile-cache hits while the vm-vec engine was the process default"),
-	}
-	mCompileMissesByEngine = map[Engine]*obs.Counter{
-		EngineVM: obs.NewCounter(`atf_oclc_compile_cache_misses_total{engine="vm"}`,
-			"Compile-cache misses while the vm engine was the process default"),
-		EngineWalk: obs.NewCounter(`atf_oclc_compile_cache_misses_total{engine="walk"}`,
-			"Compile-cache misses while the walk engine was the process default"),
-		EngineVMNoSpec: obs.NewCounter(`atf_oclc_compile_cache_misses_total{engine="vm-nospec"}`,
-			"Compile-cache misses while the vm-nospec engine was the process default"),
-		EngineVMVec: obs.NewCounter(`atf_oclc_compile_cache_misses_total{engine="vm-vec"}`,
-			"Compile-cache misses while the vm-vec engine was the process default"),
-	}
-)
-
 // programCache memoizes compiled programs by (source, define set). ATF's
 // OpenCL cost function rebuilds the kernel for every configuration; search
 // techniques revisit configurations (annealing walks, cache-less random
@@ -203,7 +176,7 @@ func (c *programCache) compile(source string, defines map[string]string) (*Progr
 		// rates read as 0% rather than absent.
 		c.misses++
 		c.mu.Unlock()
-		c.countMiss()
+		mCompileMisses.Inc()
 		start := time.Now()
 		prog, err := Compile(source, defines)
 		mCompileSeconds.Observe(time.Since(start).Seconds())
@@ -216,9 +189,6 @@ func (c *programCache) compile(source string, defines map[string]string) (*Progr
 		select {
 		case <-e.done:
 			mCompileHits.Inc()
-			if m := mCompileHitsByEngine[DefaultEngine()]; m != nil {
-				m.Inc()
-			}
 		default:
 			mCompileInflight.Inc()
 			<-e.done
@@ -234,7 +204,7 @@ func (c *programCache) compile(source string, defines map[string]string) (*Progr
 	e.elem = c.lru.PushFront(e)
 	c.entries[key] = e
 	c.mu.Unlock()
-	c.countMiss()
+	mCompileMisses.Inc()
 
 	start := time.Now()
 	e.prog, e.err = Compile(source, defines)
@@ -256,13 +226,6 @@ func (c *programCache) compile(source string, defines map[string]string) (*Progr
 	c.mu.Unlock()
 	close(e.done)
 	return e.prog, e.err
-}
-
-func (c *programCache) countMiss() {
-	mCompileMisses.Inc()
-	if m := mCompileMissesByEngine[DefaultEngine()]; m != nil {
-		m.Inc()
-	}
 }
 
 // evictOverBudgetLocked drops least-recently-used completed entries until

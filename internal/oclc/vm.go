@@ -327,7 +327,7 @@ func (wi *vmWI) fail(err error) {
 // zeroing is sound because every register is written before it is read:
 // parameters by the caller's copy, variables by their declaration's
 // zero/init instructions, temporaries by the expression that defines them.
-func (wi *vmWI) pushFrame(callee *Function, cvc *vmCode, dst int32) *vmFrame {
+func (wi *vmWI) pushFrame(callee *Function, dst int32) *vmFrame {
 	depth := len(wi.frames)
 	if depth == cap(wi.frames) {
 		wi.frames = append(wi.frames, vmFrame{})
@@ -335,15 +335,15 @@ func (wi *vmWI) pushFrame(callee *Function, cvc *vmCode, dst int32) *vmFrame {
 		wi.frames = wi.frames[:depth+1]
 	}
 	nf := &wi.frames[depth]
-	nf.regs.reset(cvc.numRegs)
-	nf.fn, nf.vc, nf.ip, nf.dst = callee, cvc, 0, dst
+	nf.regs.reset(callee.vm.numRegs)
+	nf.fn, nf.vc, nf.ip, nf.dst = callee, callee.vm, 0, dst
 	return nf
 }
 
 // run executes bytecode until the work-item suspends at a barrier,
 // finishes, or fails. Panics map to the walker's "work-item panic"
 // recovery.
-func (wi *vmWI) run(variant Engine) {
+func (wi *vmWI) run() {
 	var n int64
 	defer func() {
 		wi.icount += n
@@ -364,9 +364,6 @@ frames:
 			in := &code[ip]
 			n++
 			switch in.op {
-			case opNop:
-				ip++
-
 			case opJump:
 				ip = int(in.imm)
 			case opJumpFalse:
@@ -751,17 +748,13 @@ frames:
 				ip++
 			case opCallFn:
 				callee := vc.fnTab[in.imm]
-				cvc := callee.vm
-				if variant == EngineVMNoSpec {
-					cvc = callee.vmNoSpec
-				}
 				ctr.Calls++
 				if len(wi.frames) >= vmMaxDepth {
 					wi.fail(errf(in.pos, "call depth exceeded"))
 					return
 				}
 				f.ip = ip + 1
-				nf := wi.pushFrame(callee, cvc, in.a)
+				nf := wi.pushFrame(callee, in.a)
 				// wi.frames may have moved: re-read the caller's file.
 				caller := &wi.frames[len(wi.frames)-2].regs
 				for i := range callee.Params {
@@ -852,17 +845,15 @@ func allocArray(w *wiCtx, d *VarDecl, d0, d1 int64, twoD bool) (*Memory, error) 
 // is allocated once and reused across every work-group and, through
 // vmSchedPool, across launches.
 type vmScheduler struct {
-	p       *Program
-	fn      *Function
-	vc      *vmCode
-	variant Engine
-	args    []Arg
-	wis     []vmWI
+	p    *Program
+	fn   *Function
+	vc   *vmCode
+	args []Arg
+	wis  []vmWI
 
-	// Lockstep-vectorized execution state (vmvec.go), used only while
-	// variant == EngineVMVec. The vector frames and their register files
-	// and the lane bookkeeping are pooled here across launches like
-	// everything else.
+	// Lockstep-vectorized execution state (vmvec.go). The vector frames
+	// and their register files and the lane bookkeeping are pooled here
+	// across launches like everything else.
 	width      int
 	lanes      []int  // active lanes, ascending
 	laneActive []bool // lane liveness, indexed by linear local id
@@ -870,21 +861,21 @@ type vmScheduler struct {
 	diedInSeg  []int  // lanes that failed during the current segment
 	lanesDirty bool
 	vframes    []vecFrame
-	argBuf     []rval     // builtin argument gather scratch
-	offBuf     []int64    // per-lane element offsets (vecMem)
-	ctrs       []Counters // borrowed per-group counters (Launch scratch)
-	laneErrs   []error    // borrowed per-group errors (Launch scratch)
-	groupDiv   bool
+	argBuf     []rval       // builtin argument gather scratch
+	offBuf     []int64      // per-lane element offsets (vecMem)
+	ctrs       []Counters   // borrowed per-group counters (Launch scratch)
+	laneErrs   []error      // borrowed per-group errors (Launch scratch)
+	bar        barrierCount // the group's barrier; its flag is the result
 
 	// segCtr batches the counter increments of the current lockstep
 	// segment. In lockstep every active lane receives identical increments
 	// per instruction, so they accumulate once per instruction here and
 	// flush into a lane's ctrs entry exactly when the lane leaves the
 	// segment: at death (laneFail), at a scatter, and when the group
-	// finishes (runGroupVec). Per-lane divergence inside an instruction —
+	// finishes (runGroup). Per-lane divergence inside an instruction —
 	// a lane dying before the instruction's increments apply — is handled
 	// by ordering the segCtr bump against the laneFail calls to match the
-	// scalar engine's per-item increment/fail order.
+	// scalar frames' per-item increment/fail order.
 	segCtr Counters
 
 	vecDispatches int64 // group-level instruction dispatches (metrics)
@@ -898,17 +889,17 @@ type vmScheduler struct {
 // group.
 var vmSchedPool sync.Pool
 
-func newVMScheduler(p *Program, fn *Function, vc *vmCode, variant Engine, args []Arg, n int) *vmScheduler {
+func newVMScheduler(p *Program, fn *Function, vc *vmCode, args []Arg, n int) *vmScheduler {
 	if v := vmSchedPool.Get(); v != nil {
 		s := v.(*vmScheduler)
 		if cap(s.wis) >= n {
-			s.p, s.fn, s.vc, s.variant, s.args = p, fn, vc, variant, args
+			s.p, s.fn, s.vc, s.args = p, fn, vc, args
 			s.wis = s.wis[:n]
 			return s
 		}
 	}
 	return &vmScheduler{
-		p: p, fn: fn, vc: vc, variant: variant, args: args,
+		p: p, fn: fn, vc: vc, args: args,
 		wis: make([]vmWI, n),
 	}
 }
@@ -959,94 +950,4 @@ func (s *vmScheduler) initWIs(wg *wgCtx, counters []Counters, errs []error) {
 			}
 		}
 	}
-}
-
-// runGroup executes one work-group's work-items cooperatively on the
-// calling goroutine, replicating cyclicBarrier's semantics exactly —
-// including the divergence flag: a work-item finishing while others wait
-// at a barrier marks divergence and releases them. Work-items run in
-// linear-local-id order between synchronization points; barrier-correct
-// kernels cannot observe the difference from the walker's concurrent
-// goroutines, and Counters are per-work-item either way.
-func (s *vmScheduler) runGroup(wg *wgCtx, agg *Counters, counters []Counters, errs []error) (bool, int64, error) {
-	if s.variant == EngineVMVec {
-		return s.runGroupVec(wg, agg, counters, errs)
-	}
-	fn, vc := s.fn, s.vc
-	n := int(wg.launch.WorkGroupSize())
-	s.initWIs(wg, counters, errs)
-	wis := s.wis
-	for i := range wis {
-		wi := &wis[i]
-		// Kernel frames are reused across groups un-zeroed: arguments
-		// are rewritten here (a kernel may assign to a parameter slot),
-		// and every other register is written before read (declarations
-		// zero/init, temporaries are defined by their expression).
-		wi.frames = wi.frames[:0]
-		f := wi.pushFrame(fn, vc, 0)
-		for j, a := range s.args {
-			f.regs.set(int32(fn.Params[j].Slot), 0, argToRval(a))
-		}
-	}
-
-	parties := n
-	waiting := 0
-	divergent := false
-	release := func() {
-		for i := range wis {
-			if wis[i].status == vmWaiting {
-				wis[i].status = vmRunning
-			}
-		}
-		waiting = 0
-	}
-	live := n
-	for live > 0 {
-		progress := false
-		for i := range wis {
-			wi := &wis[i]
-			if wi.status != vmRunning {
-				continue
-			}
-			progress = true
-			wi.run(s.variant)
-			switch wi.status {
-			case vmWaiting:
-				// cyclicBarrier.await: the last live arriver releases.
-				waiting++
-				if waiting >= parties {
-					release()
-				}
-			case vmDone:
-				// cyclicBarrier.leave: a finisher releases waiters and
-				// flags divergence.
-				live--
-				errs[i] = wi.err
-				parties--
-				if parties > 0 && waiting >= parties {
-					if waiting > 0 {
-						divergent = true
-					}
-					release()
-				}
-			}
-		}
-		if !progress {
-			break // defensive; the barrier protocol cannot starve
-		}
-	}
-
-	var icount int64
-	for i := range wis {
-		icount += wis[i].icount
-	}
-	for i := 0; i < n; i++ {
-		if errs[i] != nil {
-			return false, icount, errs[i]
-		}
-	}
-	for i := 0; i < n; i++ {
-		agg.Add(&counters[i])
-	}
-	return divergent, icount, nil
 }

@@ -2,12 +2,12 @@ package oclc
 
 // Lockstep-vectorized work-group execution (EngineVMVec).
 //
-// The scalar VM (vm.go) already runs a whole work-group on one goroutine,
-// but it still pays one full dispatch loop per work-item: for a 64-item
-// group, every instruction is fetched, decoded, and switched on 64 times.
-// This engine executes the group in lockstep instead — one dispatch per
-// instruction per *group* — over structure-of-arrays register files
-// (vmRegs, vm.go) of the group's width w:
+// The per-item frame interpreter (vmWI.run, vm.go) runs a whole work-group
+// on one goroutine, but it pays one full dispatch loop per work-item: for
+// a 64-item group, every instruction is fetched, decoded, and switched on
+// 64 times. This engine executes the group in lockstep instead — one
+// dispatch per instruction per *group* — over structure-of-arrays
+// register files (vmRegs, vm.go) of the group's width w:
 //
 //   - one kind per register, shared by all lanes;
 //   - one payload column per register: register r of lane l is the 8-byte
@@ -38,9 +38,10 @@ package oclc
 // agreement — one comparison of the kind slices per frame — their words
 // are copied back into columns and lockstep resumes.
 //
-// Equivalence. Bit-for-bit agreement with the scalar VM (and the walker)
-// is load-bearing — differential_test.go compares buffers, Counters,
-// error text, and the divergence flag across engines:
+// Equivalence. Bit-for-bit agreement with the walker, and between the
+// lockstep and the scalar-frame execution of the same group, is
+// load-bearing — differential_test.go compares buffers, Counters, error
+// text, and the divergence flag across engines:
 //
 //   - Kind uniformity: starting from uniform frames, every register's
 //     scalar kind is identical across active lanes after every
@@ -57,8 +58,8 @@ package oclc
 //     barriers) and the flag protocol is replayed at the next barrier in
 //     lane order (replaySegment); on a mid-segment scatter the dead lanes
 //     scatter as vmDying and the scalar scheduler replays their death
-//     events, again in lane order — the same event order a scalar-only
-//     run produces.
+//     events, again in lane order — the same event order a run on
+//     scalar frames alone produces.
 //   - Memory effects: within one instruction lanes execute in ascending
 //     lane order, the same order the scalar scheduler uses between
 //     barriers. Cross-instruction interleaving differs, but that is only
@@ -67,7 +68,7 @@ package oclc
 //
 // The one intentional divergence: a panic inside a vector instruction
 // (defensive; real failures surface as errors) kills every active lane
-// with the scalar engine's "work-item panic" error instead of just one,
+// with the scalar frames' "work-item panic" error instead of just one,
 // because half-executed column state cannot be attributed to a single
 // lane.
 
@@ -113,13 +114,19 @@ type vecFrame struct {
 // vmDying marks a lane that failed during the current vector segment when
 // the group scatters to scalar frames mid-segment: the scalar scheduler
 // must still process its death event (parties--, divergence-flag check) in
-// lane order, exactly where a scalar-only run would have.
+// lane order, exactly where a run on scalar frames alone would have.
 const vmDying vmStatus = 255
 
-// runGroupVec is the EngineVMVec counterpart of runGroup: one work-group,
-// executed in lockstep where possible and on the scalar cooperative
-// scheduler across divergent regions.
-func (s *vmScheduler) runGroupVec(wg *wgCtx, agg *Counters, counters []Counters, errs []error) (bool, int64, error) {
+// runGroup executes one work-group on the calling goroutine: in lockstep
+// where possible and on the scalar cooperative scheduler (runScalar)
+// across divergent regions. Either way the group's barrier follows
+// barrierCount's rule, the one the walker's cyclicBarrier follows too —
+// including the divergence flag: a work-item finishing while others wait
+// at a barrier marks divergence and releases them. Between barriers
+// work-items advance in linear-local-id order; barrier-correct kernels
+// cannot observe the difference from the walker's concurrent goroutines,
+// and Counters are per-work-item either way.
+func (s *vmScheduler) runGroup(wg *wgCtx, agg *Counters, counters []Counters, errs []error) (bool, int64, error) {
 	fn, vc := s.fn, s.vc
 	n := int(wg.launch.WorkGroupSize())
 	s.initWIs(wg, counters, errs)
@@ -129,7 +136,7 @@ func (s *vmScheduler) runGroupVec(wg *wgCtx, agg *Counters, counters []Counters,
 	s.width = n
 	s.ctrs = counters
 	s.laneErrs = errs
-	s.groupDiv = false
+	s.bar = barrierCount{}
 	s.lanesDirty = false
 	s.segCtr = Counters{}
 	s.laneActive = resize(s.laneActive, n)
@@ -147,9 +154,9 @@ func (s *vmScheduler) runGroupVec(wg *wgCtx, agg *Counters, counters []Counters,
 	s.vframes = s.vframes[:1]
 	f0 := &s.vframes[0]
 	f0.fn, f0.vc, f0.ip, f0.dst = fn, vc, 0, 0
-	// Frame-0 registers are reused across groups un-zeroed, same argument
-	// as the scalar scheduler: arguments are rewritten here and every
-	// other register is written before read.
+	// Frame-0 registers are reused across groups un-zeroed, as pooled
+	// scalar frames are (pushFrame): arguments are rewritten here and
+	// every other register is written before read.
 	f0.regs.resetLanes(vc.numRegs, n)
 	for i, a := range s.args {
 		slot := int32(fn.Params[i].Slot)
@@ -196,7 +203,7 @@ func (s *vmScheduler) runGroupVec(wg *wgCtx, agg *Counters, counters []Counters,
 	for i := 0; i < n; i++ {
 		agg.Add(&counters[i])
 	}
-	return s.groupDiv, icount, nil
+	return s.bar.divergent, icount, nil
 }
 
 // laneFail kills one lane with err. The lane list is rebuilt lazily at the
@@ -236,22 +243,20 @@ func (s *vmScheduler) rebuildLanes() {
 }
 
 // replaySegment runs at a barrier every active lane reached in lockstep:
-// it replays the cyclicBarrier arrive/leave protocol over the lanes that
-// were live when the segment started, in lane order — the event order the
+// it replays the barrier's arrive/leave events over the lanes that were
+// live when the segment started, in lane order — the event order the
 // scalar scheduler produces, since between two barriers each lane has
 // exactly one event (arrival or death) and the pass visits lanes
 // ascending. parties starts at the segment's live count because every
 // earlier death was already replayed at a previous barrier (or scatter).
+// Only the last event can release, so no waiter bookkeeping is needed.
 func (s *vmScheduler) replaySegment() {
-	waiting, parties := 0, len(s.segLanes)
+	s.bar.rebase(len(s.segLanes))
 	for _, l := range s.segLanes {
 		if s.laneActive[l] {
-			waiting++
+			s.bar.arrive()
 		} else {
-			parties--
-			if parties > 0 && waiting >= parties {
-				s.groupDiv = true
-			}
+			s.bar.leave()
 		}
 	}
 	s.segLanes = append(s.segLanes[:0], s.lanes...)
@@ -341,9 +346,6 @@ frames:
 			nd++
 			nl += int64(len(lanes))
 			switch in.op {
-			case opNop:
-				ip++
-
 			case opJump:
 				ip = int(in.imm)
 			case opJumpFalse, opJumpTrue:
@@ -591,7 +593,7 @@ frames:
 				} else {
 					// The bump precedes the zero checks: a lane dying here
 					// flushes with this instruction's IntOps included, as the
-					// scalar engine counts it.
+					// scalar frames count it.
 					s.segCtr.IntOps++
 					var zerr error
 					for _, l := range lanes {
@@ -1146,7 +1148,7 @@ func (s *vmScheduler) vecMem(in *instr, regs *vmRegs, lanes []int, ip int) (int,
 				dimerr = errf(in.pos, "2-D subscript of 1-D array")
 			}
 			s.laneFail(l, dimerr)
-			// The scalar engine fails this lane before the address
+			// The scalar frames fail this lane before the address
 			// computation and the access: undo the hoisted bumps the
 			// flush just credited it with.
 			c := &s.ctrs[l]
@@ -1373,15 +1375,15 @@ func (s *vmScheduler) scatter() {
 }
 
 // runScalar drives the scattered group on the scalar cooperative protocol
-// (a transcription of runGroup's loop, plus vmDying event replay) until
-// either the group finishes (returns false) or a barrier release lets
-// every surviving lane re-converge into lockstep (returns true).
+// (including vmDying event replay) until either the group finishes
+// (returns false) or a barrier release lets every surviving lane
+// re-converge into lockstep (returns true).
 //
-// The protocol releases waiters only when waiting >= parties, and parties
+// The barrier releases waiters only when waiting >= parties, and parties
 // counts every lane that still owes an event — so at the moment a release
 // fires, no unvisited runnable lane remains in the pass. Breaking out to
 // attempt a re-gather and, on failure, restarting the pass from lane 0 is
-// therefore order-equivalent to the scalar scheduler's uninterrupted pass.
+// therefore order-equivalent to an uninterrupted pass.
 func (s *vmScheduler) runScalar() bool {
 	wis := s.wis
 	errs := s.laneErrs
@@ -1396,15 +1398,7 @@ func (s *vmScheduler) runScalar() bool {
 			live++ // unreachable at entry; defensive
 		}
 	}
-	waiting := 0
-	release := func() {
-		for i := range wis {
-			if wis[i].status == vmWaiting {
-				wis[i].status = vmRunning
-			}
-		}
-		waiting = 0
-	}
+	s.bar.rebase(parties)
 	for live > 0 {
 		progress := false
 		released := false
@@ -1413,45 +1407,27 @@ func (s *vmScheduler) runScalar() bool {
 			switch wi.status {
 			case vmDying:
 				// Replay the death event of a lane that failed mid-segment
-				// before the scatter (cyclicBarrier.leave).
-				progress = true
+				// before the scatter.
 				wi.status = vmDone
-				live--
-				parties--
-				if parties > 0 && waiting >= parties {
-					if waiting > 0 {
-						s.groupDiv = true
-					}
-					release()
-					released = true
-				}
 			case vmRunning:
-				progress = true
-				wi.run(s.variant)
-				switch wi.status {
-				case vmWaiting:
-					// cyclicBarrier.await: the last live arriver releases.
-					waiting++
-					if waiting >= parties {
-						release()
-						released = true
-					}
-				case vmDone:
-					live--
-					errs[i] = wi.err
-					parties--
-					if parties > 0 && waiting >= parties {
-						if waiting > 0 {
-							s.groupDiv = true
-						}
-						release()
-						released = true
-					}
-				}
+				wi.run()
 			default:
 				continue
 			}
+			progress = true
+			if wi.status == vmWaiting {
+				released = s.bar.arrive()
+			} else if wi.status == vmDone {
+				live--
+				errs[i] = wi.err
+				released = s.bar.leave()
+			}
 			if released {
+				for j := range wis {
+					if wis[j].status == vmWaiting {
+						wis[j].status = vmRunning
+					}
+				}
 				break
 			}
 		}

@@ -220,10 +220,6 @@ type Queue struct {
 	Functional bool
 	// Jitter is the relative measurement-noise amplitude (default 1%).
 	Jitter float64
-	// Engine selects the oclc execution engine for launches from this
-	// queue; the zero value (EngineDefault) uses the process default set
-	// by SetDefaultEngine / the -engine flag.
-	Engine oclc.Engine
 }
 
 // NewQueue creates a command queue with profiling enabled.
@@ -274,7 +270,6 @@ func (q *Queue) enqueueNDRange(k *Kernel, global, local []int64) (*Event, error)
 	if q.Functional {
 		opts = oclc.ExecOptions{}
 	}
-	opts.Engine = q.Engine
 	res, err := k.prog.built.Launch(k.name, k.args, cfg, opts)
 	if err != nil {
 		return nil, err

@@ -4,7 +4,7 @@
 #
 #   {
 #     "KernelInterpreter": {
-#       "engine=vm": 1234567.8,
+#       "engine=walk": 1234567.8,
 #       "engine=vm-vec": 345678.9
 #     },
 #     ...
