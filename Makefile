@@ -3,12 +3,12 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all build vet fmtcheck test race doccheck check fmt bench benchgate e2e-dist e2e-load e2e-state fuzz-smoke perfbench-test
+.PHONY: all build vet fmtcheck test race doccheck check fmt bench benchgate e2e-dist e2e-load e2e-state fuzz-smoke perfbench-test resultscheck
 
 # The benchmark suite `make bench` records and `make benchgate` gates on.
 # BenchmarkEvalDistinct is anchored so its engine-comparison sibling
 # (BenchmarkEvalDistinctEngines, about a minute on the walker) stays out.
-BENCHES = BenchmarkGenerateSpace|BenchmarkExploreParallel|BenchmarkKernelInterpreter|BenchmarkExhaustiveSweep|BenchmarkEvalDistinct$$
+BENCHES = BenchmarkGenerateSpace|BenchmarkExploreParallel|BenchmarkKernelInterpreter|BenchmarkExhaustiveSweep|BenchmarkEvalDistinct$$|BenchmarkZeroCostTune
 
 all: check
 
@@ -45,8 +45,7 @@ e2e-dist: build
 # e2e-load floods one atfd with 50 concurrent identical sessions through
 # cmd/atf-loadgen: admission control (429 + Retry-After) must hold the
 # daemon up with zero failed sessions, the cross-session caches must see
-# hits, and the headline latencies land in results/bench.json
-# (scripts/e2e-load.sh).
+# hits, and the headline latencies are printed (scripts/e2e-load.sh).
 e2e-load: build
 	sh scripts/e2e-load.sh
 
@@ -73,21 +72,30 @@ fuzz-smoke:
 perfbench-test:
 	cd perfbench && $(GO) test .
 
-check: vet fmtcheck doccheck build test race fuzz-smoke perfbench-test e2e-load benchgate
+# resultscheck fails when the steps before it left results/ different
+# from the commit: only `make bench` rewrites the recorded measurements.
+resultscheck:
+	@out=$$(git status --porcelain -- results/) && \
+	if [ -n "$$out" ]; then echo "resultscheck: results/ differs from the commit:" >&2; echo "$$out" >&2; exit 1; fi
+
+check: vet fmtcheck doccheck build test race fuzz-smoke perfbench-test e2e-load resultscheck benchgate
 
 # bench runs the space-generation benchmark (memo on/off × workers), the
-# exploration benches, the kernel-interpreter engine comparison (walk vs
-# vm-vec) and the distinct-configuration evaluation
+# exploration benches (including the zero-cost framework-overhead sweep,
+# BenchmarkZeroCostTune), the kernel-interpreter engine comparison (walk
+# vs vm-vec) and the distinct-configuration evaluation
 # sample (BenchmarkEvalDistinct), 5 samples each for
 # benchdiff/benchstat. The raw text is kept in results/bench.txt and a
-# machine-readable mean-ns/op summary is written to results/bench.json;
+# machine-readable mean-ns/op summary, with the committed loadgen
+# baseline (results/loadgen-bench.txt) folded in, is written to
+# results/bench.json;
 # scripts/benchdiff.sh diffs any mix of the two formats:
 #   make bench > after.txt   # then: scripts/benchdiff.sh before.txt after.txt
 #   scripts/benchdiff.sh old-bench.json results/bench.json
 bench:
 	@mkdir -p results
 	$(GO) test -run '^$$' -bench '$(BENCHES)' -count=5 . | tee results/bench.txt
-	@sh scripts/bench2json.sh results/bench.txt > results/bench.json
+	@sh scripts/bench2json.sh results/bench.txt $$(ls results/loadgen-bench.txt 2>/dev/null) > results/bench.json
 
 # benchgate is the performance regression gate (part of `make check`): a
 # fresh -count=3 run of the bench suite diffed against the committed

@@ -9,8 +9,10 @@ package atf_test
 // *shape* of the result is visible directly in the bench output.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -507,11 +509,11 @@ func benchmarkEvalDistinct(b *testing.B) {
 	b.ReportMetric(ms[len(ms)*9/10], "p90-ms/eval")
 }
 
-// BenchmarkExploreParallel measures the parallel exploration engine against
-// the sequential loop on a synthetic 10ms cost function (the regime parallel
-// exploration targets: evaluation dominates, merging is negligible). The
-// speedup metric is wall-clock sequential/parallel per sub-bench; 8 workers
-// must clear 2x.
+// BenchmarkExploreParallel measures exploration with a pool of 1-8 cost
+// evaluators against one evaluator (Workers 0) on a synthetic 10ms cost
+// function (the regime parallel exploration targets: evaluation
+// dominates, merging is negligible). The speedup metric is wall-clock
+// one-evaluator/pool per sub-bench; 8 workers must clear 2x.
 func BenchmarkExploreParallel(b *testing.B) {
 	const evals = 32
 	params := []*core.Param{core.NewParam("X", core.NewInterval(1, 1024))}
@@ -533,8 +535,8 @@ func BenchmarkExploreParallel(b *testing.B) {
 		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				start := time.Now()
-				if _, err := core.ExploreParallel(sp, search.NewExhaustive(), cf, core.Evaluations(evals),
-					core.ParallelOptions{Workers: workers}); err != nil {
+				if _, err := core.Explore(sp, search.NewExhaustive(), cf, core.Evaluations(evals),
+					core.ExploreOptions{Workers: workers}); err != nil {
 					b.Fatal(err)
 				}
 				b.ReportMetric(seqTime.Seconds()/time.Since(start).Seconds(), "speedup-vs-seq")
@@ -583,6 +585,69 @@ func BenchmarkExhaustiveSweep(b *testing.B) {
 		}
 		b.ReportMetric(float64(size)*float64(b.N)/b.Elapsed().Seconds(), "configs/s")
 	})
+}
+
+// passThroughEvaluator is the simplest BatchEvaluator: it evaluates each
+// configuration of a batch in order on the calling goroutine.
+type passThroughEvaluator struct{ cf atf.CostFunction }
+
+func (e passThroughEvaluator) EvaluateBatch(_ context.Context, _ uint64, batch []*atf.Config) ([]atf.Outcome, error) {
+	out := make([]atf.Outcome, len(batch))
+	for i, cfg := range batch {
+		out[i].Cost, out[i].Err = e.cf.Cost(cfg)
+	}
+	return out, nil
+}
+
+// BenchmarkZeroCostTune is the framework-overhead harness of the Kernel
+// Tuner comparison (SNIPPETS.md, kernel_tuner_paper): an exhaustive sweep
+// of the cap-16 XgemmDirect space (86,128 configurations) with a cost
+// function that returns 0, so only the framework works. One op is one
+// whole sweep through Tuner.Explore; ns/config and allocs/config divide
+// by the configurations evaluated, and evaluated/valid/invalid are the
+// harness's E/V/I counts. Sub-benchmarks: one evaluator (workers-1),
+// runtime.NumCPU() evaluators (workers-N), a pass-through Evaluator at
+// batch size 1 (evaluator-batch1, atfd's path for adaptive techniques)
+// and the same with pipelined dispatch (pipelined, atfd's path for
+// exhaustive and random search).
+func BenchmarkZeroCostTune(b *testing.B) {
+	sp, err := atf.GenerateSpace(0, clblast.XgemmDirectParams(clblast.SpaceOptions{RangeCap: 16})...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	zero := atf.CostFunc(func(*atf.Config) (atf.Cost, error) { return atf.Cost{0}, nil })
+	for _, tc := range []struct {
+		name  string
+		tuner atf.Tuner
+	}{
+		{"workers-1", atf.Tuner{Parallelism: 1}},
+		{"workers-N", atf.Tuner{Parallelism: atf.AutoParallelism}},
+		{"evaluator-batch1", atf.Tuner{Evaluator: passThroughEvaluator{zero}}},
+		{"pipelined", atf.Tuner{Evaluator: passThroughEvaluator{zero}, Pipeline: true}},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			var res *atf.Result
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if res, err = tc.tuner.Explore(sp, zero); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			if res.Evaluations != sp.Size() || res.Valid != sp.Size() {
+				b.Fatalf("evaluated %d (valid %d) of %d configurations", res.Evaluations, res.Valid, sp.Size())
+			}
+			configs := float64(res.Evaluations) * float64(b.N)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/configs, "ns/config")
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/configs, "allocs/config")
+			b.ReportMetric(float64(res.Evaluations), "evaluated")
+			b.ReportMetric(float64(res.Valid), "valid")
+			b.ReportMetric(float64(res.Evaluations-res.Valid), "invalid")
+		})
+	}
 }
 
 // BenchmarkOclcCompileCache measures the compiled-program cache: a cold

@@ -34,7 +34,7 @@ func main() {
 	devOptEvals := flag.Int("devopt-evals", 120, "CLTune device-optimization evaluations at 256x256")
 	seed := flag.Int64("seed", 1, "random seed")
 	parallelism := flag.Int("parallelism", 1,
-		"concurrent cost evaluators per tuning run (1 = sequential, -1 = all CPUs)")
+		"concurrent cost evaluators per tuning run (1 = one at a time, -1 = all CPUs)")
 	markdown := flag.Bool("markdown", false, "emit markdown tables")
 	stats := flag.Bool("stats", false,
 		"print the instrumentation summary (evaluations, caches, latency histograms) after the experiments")

@@ -35,7 +35,7 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "wall-clock abort (0 = none)")
 	seed := flag.Int64("seed", 1, "random seed")
 	parallelism := flag.Int("parallelism", 1,
-		"concurrent cost evaluators (1 = sequential, -1 = all CPUs)")
+		"concurrent cost evaluators (1 = one at a time, -1 = all CPUs)")
 	stats := flag.Bool("stats", false,
 		"print the instrumentation summary (evaluations, caches, latency histograms) after the run")
 	flag.Parse()

@@ -18,14 +18,16 @@ type BatchTechnique interface {
 	GetNextBatch(n int) []*Config
 	// ReportCosts reports the evaluations of the most recent batch back
 	// to the technique, in batch order. When exploration aborts mid-batch
-	// only the evaluations that were committed are reported.
+	// only the evaluations that were committed are reported. The engine
+	// reuses the slice for the next batch, so implementations must copy
+	// what they keep.
 	ReportCosts(evals []Evaluation)
 }
 
 // CostOblivious marks a technique whose proposal sequence does not depend
 // on reported costs: the configurations it returns are a function of the
 // space and seed alone (exhaustive enumeration, seeded random sampling).
-// The parallel engine may pipeline such techniques — draw and dispatch
+// The exploration engine may pipeline such techniques — draw and dispatch
 // batch k+1 before batch k's costs are reported — without changing the
 // proposal walk, so results stay bit-identical to the unpipelined run.
 // Adaptive techniques (annealing, local search, OpenTuner) must not

@@ -3,15 +3,17 @@ package core
 import (
 	"hash/maphash"
 	"sync"
+	"sync/atomic"
 )
 
-// costCache is the concurrent cost-evaluation cache behind ExploreParallel
-// (the sequential Explore keeps its plain map — no synchronization on the
-// single-threaded path). It is sharded by key hash so workers evaluating
+// costCache is the concurrent cost-evaluation cache of the PoolEvaluator,
+// used at every worker count (a one-worker pool pays an uncontended lock
+// per lookup and may still see concurrent EvaluateBatch callers, as an
+// atf-worker process does). It is sharded by key hash so workers evaluating
 // different configurations do not contend on one lock, and it deduplicates
 // in-flight work: when two workers ask for the same configuration at once,
-// one evaluates and the other blocks on the entry's done channel, so the
-// cost function runs at most once per configuration.
+// one evaluates and the other waits for the entry, so the cost function
+// runs at most once per configuration.
 type costCache struct {
 	seed   maphash.Seed
 	shards [costCacheShards]costCacheShard
@@ -25,9 +27,10 @@ type costCacheShard struct {
 }
 
 type costCacheEntry struct {
-	done chan struct{} // closed once cost/err are set
-	cost Cost
-	err  error
+	ready atomic.Bool    // set once cost/err are
+	done  sync.WaitGroup // released once cost/err are set
+	cost  Cost
+	err   error
 }
 
 func newCostCache() *costCache {
@@ -46,23 +49,24 @@ func (c *costCache) getOrCompute(key string, eval func() (Cost, error)) (Cost, e
 	sh.mu.Lock()
 	if e, ok := sh.m[key]; ok {
 		sh.mu.Unlock()
-		select {
-		case <-e.done:
+		if e.ready.Load() {
 			mCostCacheHits.Inc()
-		default:
+		} else {
 			// In-flight dedup: another worker is evaluating this exact
 			// configuration right now; wait for its result.
 			mCostCacheInflight.Inc()
-			<-e.done
+			e.done.Wait()
 		}
 		return e.cost, e.err
 	}
 	mCostCacheMisses.Inc()
-	e := &costCacheEntry{done: make(chan struct{})}
+	e := &costCacheEntry{}
+	e.done.Add(1)
 	sh.m[key] = e
 	sh.mu.Unlock()
 
 	e.cost, e.err = eval()
-	close(e.done)
+	e.ready.Store(true)
+	e.done.Done()
 	return e.cost, e.err
 }

@@ -8,19 +8,19 @@ import (
 
 // Outcome is the result of evaluating one configuration: the cost vector
 // and the cost function's error, if any. Failed evaluations carry
-// InfCost() so they never win the comparison, exactly as in Explore.
+// InfCost() so they never win the comparison.
 type Outcome struct {
 	Cost Cost
 	Err  error
 }
 
-// BatchEvaluator is the evaluate step of exploration, extracted from
-// ExploreParallel as a transport-agnostic seam: the engine draws batches
-// of configurations from the technique, hands each batch to the
-// evaluator, and merges the outcomes strictly in batch order. The
-// in-process PoolEvaluator is the default and reference implementation;
-// the distributed fleet coordinator (internal/dist) implements the same
-// interface over remote workers. Because merging happens on the engine
+// BatchEvaluator is the evaluate step of exploration as a
+// transport-agnostic seam: Explore draws batches of configurations from
+// the technique, hands each batch to the evaluator, and merges the
+// outcomes strictly in batch order. The in-process PoolEvaluator is the
+// default and reference implementation; the distributed fleet
+// coordinator (internal/dist) implements the same interface over remote
+// workers. Because merging happens on the engine
 // side in batch-index order, any evaluator that returns the right
 // outcomes — in any internal order, computed anywhere — yields a result
 // bit-identical to a local run.
@@ -34,17 +34,33 @@ type BatchEvaluator interface {
 	EvaluateBatch(ctx context.Context, batchIndex uint64, batch []*Config) ([]Outcome, error)
 }
 
-// PoolEvaluator is the in-process BatchEvaluator: a fixed pool of worker
-// goroutines, one cost-function instance per worker (clones when the
-// cost function supports them), and the sharded in-flight-deduplicating
-// cost cache. It is the extracted evaluate step of ExploreParallel and
-// is also what an atf-worker process runs behind its HTTP eval endpoint.
+// CloneableCostFunction is a CostFunction that can produce independent
+// copies of itself for concurrent use. The PoolEvaluator gives each
+// worker its own clone, so cost functions owning per-run state (a
+// simulated device queue, uploaded buffers) never share it across
+// workers. Cost functions that do not implement Clone are shared by all
+// workers and must be safe for concurrent calls.
+type CloneableCostFunction interface {
+	CostFunction
+	// Clone returns an independent, equivalently initialized instance.
+	Clone() (CostFunction, error)
+}
+
+// PoolEvaluator is the in-process BatchEvaluator: one cost-function
+// instance per worker (clones when the cost function supports them) and
+// the sharded in-flight-deduplicating cost cache. A pool of n > 1 workers
+// runs n worker goroutines; a one-worker pool starts none and evaluates
+// on the calling goroutine. It is the evaluate step of Explore and is
+// also what an atf-worker process runs behind its HTTP eval endpoint.
 // EvaluateBatch is safe for concurrent calls.
 type PoolEvaluator struct {
 	cfs   []CostFunction
 	cache *costCache
-	tasks chan poolTask
+	tasks chan poolTask // nil for a one-worker pool
 
+	// mu guards closed and serializes a one-worker pool's EvaluateBatch
+	// calls, whose single cost function need not be safe for concurrent
+	// use.
 	mu     sync.Mutex
 	closed bool
 }
@@ -55,8 +71,8 @@ type poolTask struct {
 	wg  *sync.WaitGroup
 }
 
-// NewPoolEvaluator builds a pool of `workers` evaluation goroutines over
-// cf. With cacheCosts, outcomes are memoized by configuration key with
+// NewPoolEvaluator builds a pool of `workers` cost evaluators over cf.
+// With cacheCosts, outcomes are memoized by configuration key with
 // in-flight deduplication, so a configuration's cost function runs at
 // most once per pool. Close the pool to release its goroutines.
 func NewPoolEvaluator(cf CostFunction, workers int, cacheCosts bool) (*PoolEvaluator, error) {
@@ -81,10 +97,14 @@ func NewPoolEvaluator(cf CostFunction, workers int, cacheCosts bool) (*PoolEvalu
 			cfs[i] = cf
 		}
 	}
-	p := &PoolEvaluator{cfs: cfs, tasks: make(chan poolTask)}
+	p := &PoolEvaluator{cfs: cfs}
 	if cacheCosts {
 		p.cache = newCostCache()
 	}
+	if workers == 1 {
+		return p, nil
+	}
+	p.tasks = make(chan poolTask)
 	for w := 0; w < workers; w++ {
 		go func(w int) {
 			for t := range p.tasks {
@@ -119,14 +139,35 @@ func (p *PoolEvaluator) evalOne(w int, cfg *Config) (Cost, error) {
 // EvaluateBatch implements BatchEvaluator: the batch is fanned out to the
 // pool and the outcomes are returned in batch order.
 func (p *PoolEvaluator) EvaluateBatch(ctx context.Context, batchIndex uint64, batch []*Config) ([]Outcome, error) {
-	outcomes := make([]Outcome, len(batch))
+	if p.tasks == nil {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+	}
+	return p.evaluate(batch, nil), nil
+}
+
+// evaluate writes the batch's outcomes into out, resized to the batch,
+// and returns it. Concurrent calls are safe only on a pool of more than
+// one worker; Explore, the sole owner of the pool it builds, calls it
+// directly to reuse its outcome buffers.
+func (p *PoolEvaluator) evaluate(batch []*Config, out []Outcome) []Outcome {
+	if cap(out) < len(batch) {
+		out = make([]Outcome, len(batch))
+	}
+	out = out[:len(batch)]
+	if p.tasks == nil {
+		for i, cfg := range batch {
+			out[i].Cost, out[i].Err = p.evalOne(0, cfg)
+		}
+		return out
+	}
 	var wg sync.WaitGroup
 	wg.Add(len(batch))
 	for i, cfg := range batch {
-		p.tasks <- poolTask{cfg: cfg, out: &outcomes[i], wg: &wg}
+		p.tasks <- poolTask{cfg: cfg, out: &out[i], wg: &wg}
 	}
 	wg.Wait()
-	return outcomes, nil
+	return out
 }
 
 // Close stops the pool's worker goroutines. The pool must be idle; Close
@@ -134,9 +175,9 @@ func (p *PoolEvaluator) EvaluateBatch(ctx context.Context, batchIndex uint64, ba
 func (p *PoolEvaluator) Close() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if !p.closed {
-		p.closed = true
+	if !p.closed && p.tasks != nil {
 		close(p.tasks)
 	}
+	p.closed = true
 	return nil
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"sync"
 	"testing"
 )
 
@@ -52,11 +53,12 @@ func TestCustomEvaluatorDeterministic(t *testing.T) {
 	defer pool.Close()
 	ev := &reversePoolEvaluator{pool: pool}
 	var marks []BatchMark
-	got, err := ExploreParallel(sp, &indexWalker{}, cf, nil, ParallelOptions{
-		ExploreOptions: ExploreOptions{Record: true, CacheCosts: true},
-		Workers:        4,
-		Evaluator:      ev,
-		OnBatch:        func(m BatchMark) { marks = append(marks, m) },
+	got, err := Explore(sp, &indexWalker{}, cf, nil, ExploreOptions{
+		Record:     true,
+		CacheCosts: true,
+		Workers:    4,
+		Evaluator:  ev,
+		OnBatch:    func(m BatchMark) { marks = append(marks, m) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -116,5 +118,51 @@ func TestPoolEvaluatorConcurrentCalls(t *testing.T) {
 				t.Fatalf("outcome %d differs across concurrent calls", i)
 			}
 		}
+	}
+}
+
+// TestPoolEvaluatorOneWorkerSerializesCalls: a one-worker pool evaluates
+// on its callers' goroutines, so concurrent EvaluateBatch calls must not
+// run its single cost function concurrently. The cost function keeps an
+// unsynchronized counter, which the race detector flags if they do.
+func TestPoolEvaluatorOneWorkerSerializesCalls(t *testing.T) {
+	sp := mustSpace(t, saxpyParams(64))
+	calls := 0
+	cf := ScalarCostFunc(func(cfg *Config) float64 {
+		calls++
+		return float64(cfg.Int("WPT"))
+	})
+	pool, err := NewPoolEvaluator(cf, 1, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+
+	batch := make([]*Config, sp.Size())
+	for i := range batch {
+		batch[i] = sp.At(uint64(i))
+	}
+	const callers = 4
+	var wg sync.WaitGroup
+	wg.Add(callers)
+	for g := 0; g < callers; g++ {
+		go func() {
+			defer wg.Done()
+			outs, err := pool.EvaluateBatch(context.Background(), 0, batch)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for i, o := range outs {
+				if want := float64(batch[i].Int("WPT")); o.Cost.Primary() != want {
+					t.Errorf("outcome %d = %v, want %v", i, o.Cost, want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if want := callers * len(batch); calls != want {
+		t.Fatalf("cost function ran %d times, want %d", calls, want)
 	}
 }

@@ -2,11 +2,7 @@ package core
 
 import (
 	"context"
-	"fmt"
-	"log/slog"
 	"time"
-
-	"atf/internal/obs"
 )
 
 // Technique is the paper's generic search-technique interface (Section IV):
@@ -86,6 +82,44 @@ type ExploreOptions struct {
 	// callers — the atfd session manager shutting down — check their own
 	// context to distinguish cancellation from completion.
 	Context context.Context
+	// Workers is the number of concurrent cost evaluators: 0 and 1 run
+	// one evaluator on the exploring goroutine, n > 1 a pool of n, and a
+	// negative value runtime.NumCPU(). With a custom Evaluator, Workers
+	// only sets the default BatchSize — the evaluator owns its own
+	// concurrency.
+	Workers int
+	// BatchSize is the number of configurations requested from the
+	// technique per round; 0 means Workers. Larger batches amortize
+	// synchronization, smaller ones shorten the speculation window of
+	// adapted stateful techniques (see Batcher). At one worker batches
+	// hold one configuration, so adaptive techniques take exactly the
+	// walk of the paper's one-at-a-time loop.
+	BatchSize int
+	// Evaluator substitutes the evaluate step: instead of the built-in
+	// in-process pool (PoolEvaluator over cf), batches are handed to this
+	// evaluator — the seam the distributed fleet coordinator plugs into.
+	// The merge discipline is unchanged, so results stay bit-identical to
+	// a local run for any evaluator that returns correct outcomes. The
+	// caller owns the evaluator's lifecycle.
+	Evaluator BatchEvaluator
+	// OnBatch, when set, observes every batch before it is dispatched —
+	// the hook the atfd journal uses to write batch-boundary records so a
+	// coordinator crash mid-batch replays cleanly.
+	OnBatch func(mark BatchMark)
+	// Pipeline overlaps dispatch with merging: batch k+1 is drawn from the
+	// technique and handed to the evaluator while batch k's outcomes are
+	// still being merged and reported, so a remote fleet's workers never
+	// idle during the coordinator's commit pass. Pipelining only engages
+	// for techniques that declare themselves CostOblivious (exhaustive,
+	// seeded random — directly or through the Batcher adapter), whose
+	// proposal walk ignores reported costs, so the early draw leaves
+	// results bit-identical to the unpipelined run; and only when there
+	// is a second party to overlap with — a custom Evaluator or a pool of
+	// more than one worker. Otherwise the option is ignored and batches
+	// stay strictly sequential. When an abort condition fires mid-merge
+	// the speculative batch is drained and discarded — evaluated but
+	// never committed, recorded, or reported.
+	Pipeline bool
 }
 
 // canceled reports whether the options' context (if any) is done.
@@ -93,124 +127,23 @@ func (o *ExploreOptions) canceled() bool {
 	return o.Context != nil && o.Context.Err() != nil
 }
 
-// Explore runs the paper's exploration loop (Section II Step 3): it asks
-// the technique for configurations, scores them with the cost function, and
-// stops when the abort condition fires. A nil abort defaults to
-// evaluations(S) with S the search-space size, exactly as in ATF.
-func Explore(sp *Space, tech Technique, cf CostFunction, abort AbortCondition, opts ExploreOptions) (*Result, error) {
-	if sp == nil || sp.Size() == 0 {
-		return nil, fmt.Errorf("core: cannot explore an empty search space")
-	}
-	if tech == nil {
-		return nil, fmt.Errorf("core: no search technique")
-	}
-	if cf == nil {
-		return nil, fmt.Errorf("core: no cost function")
-	}
-	if abort == nil {
-		abort = Evaluations(sp.Size())
-	}
-	order := opts.Order
-	if order == nil {
-		order = LexLess
-	}
-	now := opts.Now
-	if now == nil {
-		now = time.Now
-	}
-	seed := opts.Seed
-	if seed == 0 {
-		seed = 0x5eed_a7f1
-	}
+// clockBase anchors monoNow.
+var clockBase = time.Now()
 
-	span := obs.StartSpan("explore", slog.Int("workers", 1))
-	tech.Initialize(sp, seed)
-	defer tech.Finalize()
-
-	// The cache memoizes the full (cost, error) outcome: a cached failing
-	// configuration reports the same Evaluation.Err as the first miss
-	// instead of silently dropping it.
-	type cachedEval struct {
-		cost Cost
-		err  error
-	}
-	var cache map[string]cachedEval
-	if opts.CacheCosts {
-		cache = make(map[string]cachedEval)
-	}
-
-	st := &State{Start: now(), SpaceSize: sp.Size()}
-	res := &Result{}
-	for {
-		st.Now = now()
-		if opts.canceled() || abort.Abort(st) {
-			break
-		}
-		cfg := tech.GetNextConfig()
-		if cfg == nil {
-			break // technique exhausted (e.g. exhaustive search done)
-		}
-
-		var cost Cost
-		var err error
-		var cached bool
-		if cache != nil {
-			if c, ok := cache[cfg.Key()]; ok {
-				cost, err, cached = c.cost, c.err, true
-			} else {
-				cost, err = timedCost(cf, cfg)
-				if err != nil {
-					cost = InfCost()
-				}
-				cache[cfg.Key()] = cachedEval{cost: cost, err: err}
-			}
-		} else {
-			cost, err = timedCost(cf, cfg)
-			if err != nil {
-				cost = InfCost()
-			}
-		}
-		commitMetrics(cached, err)
-
-		st.Evaluations++
-		if !cost.IsInf() {
-			st.Valid++
-		}
-		elapsed := now().Sub(st.Start)
-		ev := Evaluation{Index: st.Evaluations - 1, Config: cfg, Cost: cost, Err: err, At: elapsed, Cached: cached}
-		if opts.Record {
-			res.History = append(res.History, ev)
-		}
-		if opts.OnEvaluation != nil {
-			opts.OnEvaluation(ev)
-		}
-
-		if !cost.IsInf() && (st.Best == nil || order(cost, st.Best)) {
-			st.Best = cost.Clone()
-			st.BestConfig = cfg.Clone()
-			st.improvements = append(st.improvements, improvement{at: now(), eval: st.Evaluations, cost: cost.Primary()})
-			res.Improvements = append(res.Improvements, ev)
-		}
-
-		tech.ReportCost(cost)
-	}
-
-	res.Best = st.BestConfig
-	res.BestCost = st.Best
-	res.Evaluations = st.Evaluations
-	res.Valid = st.Valid
-	res.Elapsed = now().Sub(st.Start)
-	span.End(slog.Uint64("evaluations", res.Evaluations), slog.Uint64("valid", res.Valid))
-	return res, nil
-}
+// monoNow is the exploration clock: time.Now derived from the monotonic
+// clock alone, as clockBase plus the monotonic time elapsed since. It
+// reads one clock instead of time.Now's two (wall and monotonic), which
+// matters when exploration reads it several times per evaluation, and it
+// never steps with wall-clock adjustments.
+func monoNow() time.Time { return clockBase.Add(time.Since(clockBase)) }
 
 // timedCost runs one cost-function call inside the worker-occupancy gauge
-// and the evaluation-latency histogram. Shared by Explore, ExploreParallel
-// and the parallel cost cache so every *actual* cost-function execution —
+// and the evaluation-latency histogram. Shared by the pool's workers and
+// the cost cache so every *actual* cost-function execution —
 // never a cache hit — lands in atf_evaluation_cost_seconds exactly once.
 func timedCost(cf CostFunction, cfg *Config) (Cost, error) {
 	mWorkersBusy.Inc()
-	start := time.Now()
+	start := monoNow()
 	cost, err := cf.Cost(cfg)
 	mEvalSeconds.Observe(time.Since(start).Seconds())
 	mWorkersBusy.Dec()

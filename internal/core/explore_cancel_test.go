@@ -49,9 +49,9 @@ func TestExploreParallelContextCancel(t *testing.T) {
 		}
 		return SingleCost(float64(cfg.Int("X"))), nil
 	})
-	res, err := ExploreParallel(sp, &indexWalker{}, cf, nil, ParallelOptions{
-		ExploreOptions: ExploreOptions{Context: ctx},
-		Workers:        4,
+	res, err := Explore(sp, &indexWalker{}, cf, nil, ExploreOptions{
+		Context: ctx,
+		Workers: 4,
 	})
 	if err != nil {
 		t.Fatal(err)

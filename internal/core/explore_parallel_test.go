@@ -7,7 +7,13 @@ import (
 	"testing"
 )
 
-// sameResult asserts the determinism contract of ExploreParallel: Best,
+// withWorkers returns opts with Workers and BatchSize set.
+func withWorkers(opts ExploreOptions, workers, batchSize int) ExploreOptions {
+	opts.Workers, opts.BatchSize = workers, batchSize
+	return opts
+}
+
+// sameResult asserts the determinism contract of Explore: Best,
 // BestCost, Improvements (index, config, cost) and the evaluation counters
 // match the sequential reference run.
 func sameResult(t *testing.T, ref, got *Result, label string) {
@@ -70,8 +76,8 @@ func TestExploreParallelDeterministic(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{1, 2, 8} {
-				got, err := ExploreParallel(sp, tc.mk(), quadCost(n), Evaluations(60),
-					ParallelOptions{ExploreOptions: opts, Workers: workers})
+				got, err := Explore(sp, tc.mk(), quadCost(n), Evaluations(60),
+					withWorkers(opts, workers, 0))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -93,8 +99,8 @@ func TestExploreParallelAbortMidBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ExploreParallel(sp, &indexWalker{}, quadCost(n), Evaluations(13),
-		ParallelOptions{ExploreOptions: opts, Workers: 8, BatchSize: 8})
+	got, err := Explore(sp, &indexWalker{}, quadCost(n), Evaluations(13),
+		withWorkers(opts, 8, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,8 +117,8 @@ func TestExploreParallelConcurrentCacheDedup(t *testing.T) {
 		calls.Add(1)
 		return SingleCost(1), nil
 	})
-	res, err := ExploreParallel(sp, &stuckTechnique{}, cf, Evaluations(64),
-		ParallelOptions{ExploreOptions: ExploreOptions{CacheCosts: true}, Workers: 8})
+	res, err := Explore(sp, &stuckTechnique{}, cf, Evaluations(64),
+		ExploreOptions{CacheCosts: true, Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,8 +140,8 @@ func TestExploreParallelCachedErrorsKeepErr(t *testing.T) {
 	sp := mustSpace(t, saxpyParams(12))
 	boom := errors.New("kernel launch failed")
 	cf := CostFunc(func(cfg *Config) (Cost, error) { return nil, boom })
-	res, err := ExploreParallel(sp, &stuckTechnique{}, cf, Evaluations(6),
-		ParallelOptions{ExploreOptions: ExploreOptions{CacheCosts: true, Record: true}, Workers: 4})
+	res, err := Explore(sp, &stuckTechnique{}, cf, Evaluations(6),
+		ExploreOptions{CacheCosts: true, Record: true, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,8 +183,8 @@ func TestExploreParallelClonesCostFunction(t *testing.T) {
 	sp := mustSpace(t, saxpyParams(64))
 	var clones atomic.Int64
 	cf := &cloneCountingCF{clones: &clones, used: &sync.Map{}}
-	if _, err := ExploreParallel(sp, &indexWalker{}, cf, Evaluations(40),
-		ParallelOptions{Workers: 4}); err != nil {
+	if _, err := Explore(sp, &indexWalker{}, cf, Evaluations(40),
+		ExploreOptions{Workers: 4}); err != nil {
 		t.Fatal(err)
 	}
 	if clones.Load() != 3 {
@@ -225,13 +231,13 @@ func TestBatcherSpeculativeProtocol(t *testing.T) {
 func TestExploreParallelRejectsBadInputs(t *testing.T) {
 	sp := mustSpace(t, saxpyParams(12))
 	cf := quadCost(12)
-	if _, err := ExploreParallel(nil, &indexWalker{}, cf, nil, ParallelOptions{Workers: 4}); err == nil {
+	if _, err := Explore(nil, &indexWalker{}, cf, nil, ExploreOptions{Workers: 4}); err == nil {
 		t.Error("nil space must error")
 	}
-	if _, err := ExploreParallel(sp, nil, cf, nil, ParallelOptions{Workers: 4}); err == nil {
+	if _, err := Explore(sp, nil, cf, nil, ExploreOptions{Workers: 4}); err == nil {
 		t.Error("nil technique must error")
 	}
-	if _, err := ExploreParallel(sp, &indexWalker{}, nil, nil, ParallelOptions{Workers: 4}); err == nil {
+	if _, err := Explore(sp, &indexWalker{}, nil, nil, ExploreOptions{Workers: 4}); err == nil {
 		t.Error("nil cost function must error")
 	}
 }

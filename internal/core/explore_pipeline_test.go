@@ -31,15 +31,15 @@ func TestExplorePipelineDeterministic(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			ref, err := ExploreParallel(sp, tc.mk(), quadCost(n), tc.abort,
-				ParallelOptions{ExploreOptions: opts, Workers: 8, BatchSize: tc.batchSize})
+			ref, err := Explore(sp, tc.mk(), quadCost(n), tc.abort,
+				withWorkers(opts, 8, tc.batchSize))
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{2, 8} {
-				got, err := ExploreParallel(sp, tc.mk(), quadCost(n), tc.abort,
-					ParallelOptions{ExploreOptions: opts, Workers: workers,
-						BatchSize: tc.batchSize, Pipeline: true})
+				pipelined := withWorkers(opts, workers, tc.batchSize)
+				pipelined.Pipeline = true
+				got, err := Explore(sp, tc.mk(), quadCost(n), tc.abort, pipelined)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -58,13 +58,14 @@ func TestExplorePipelineIgnoredForAdaptive(t *testing.T) {
 	const n = 48
 	sp := mustSpace(t, saxpyParams(n))
 	opts := ExploreOptions{Record: true, CacheCosts: true}
-	ref, err := ExploreParallel(sp, &indexWalker{}, quadCost(n), Evaluations(40),
-		ParallelOptions{ExploreOptions: opts, Workers: 4})
+	ref, err := Explore(sp, &indexWalker{}, quadCost(n), Evaluations(40),
+		withWorkers(opts, 4, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ExploreParallel(sp, &indexWalker{}, quadCost(n), Evaluations(40),
-		ParallelOptions{ExploreOptions: opts, Workers: 4, Pipeline: true})
+	pipelined := withWorkers(opts, 4, 0)
+	pipelined.Pipeline = true
+	got, err := Explore(sp, &indexWalker{}, quadCost(n), Evaluations(40), pipelined)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,10 +87,10 @@ func TestExplorePipelineOverlapsDispatch(t *testing.T) {
 			events = append(events, ev)
 			mu.Unlock()
 		}}
-		_, err := ExploreParallel(sp, tech, quadCost(n), Evaluations(12),
-			ParallelOptions{
-				ExploreOptions: ExploreOptions{CacheCosts: true},
-				Workers:        2, BatchSize: 4, Pipeline: pipeline,
+		_, err := Explore(sp, tech, quadCost(n), Evaluations(12),
+			ExploreOptions{
+				CacheCosts: true,
+				Workers:    2, BatchSize: 4, Pipeline: pipeline,
 				OnBatch: func(mark BatchMark) {
 					mu.Lock()
 					events = append(events, fmt.Sprintf("dispatch%d", mark.Index))

@@ -88,6 +88,27 @@ func TestExploreAbortsOnEvaluations(t *testing.T) {
 	}
 }
 
+// TestExploreStopsAtBudget: at one worker the abort condition is checked
+// before each configuration is drawn, so neither the technique nor the
+// cost function is asked for anything past the budget — with a costly
+// cost function an evaluation past the budget is time thrown away.
+func TestExploreStopsAtBudget(t *testing.T) {
+	sp := mustSpace(t, saxpyParams(64))
+	calls := 0
+	cf := CostFunc(func(cfg *Config) (Cost, error) {
+		calls++
+		return SingleCost(float64(cfg.Int("WPT"))), nil
+	})
+	w := &indexWalker{}
+	res, err := Explore(sp, w, cf, Evaluations(5), ExploreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Evaluations != 5 || calls != 5 || w.next != 5 {
+		t.Fatalf("evaluations %d, cost calls %d, configurations drawn %d; want 5 each", res.Evaluations, calls, w.next)
+	}
+}
+
 func TestExploreVirtualClockDuration(t *testing.T) {
 	sp := mustSpace(t, saxpyParams(64))
 	now := time.Unix(0, 0)

@@ -52,7 +52,7 @@ var (
 	mCensusRestored = obs.NewCounter("atf_space_census_restored_total",
 		"Lazy-space group censuses restored from a persisted snapshot")
 
-	// Exploration (Explore and ExploreParallel).
+	// Exploration (Explore).
 	mEvaluations = obs.NewCounter("atf_evaluations_total",
 		"Cost evaluations committed to exploration results")
 	mEvalCached = obs.NewCounter("atf_evaluations_cached_total",
@@ -62,7 +62,7 @@ var (
 	mEvalSeconds = obs.NewHistogram("atf_evaluation_cost_seconds",
 		"Wall-clock latency of one cost-function call (cache misses only)", nil)
 	mBatches = obs.NewCounter("atf_explore_batches_total",
-		"Configuration batches dispatched by ExploreParallel")
+		"Configuration batches dispatched by exploration")
 	mBatchMergeSeconds = obs.NewHistogram("atf_explore_batch_merge_seconds",
 		"Latency of merging one evaluated batch in deterministic order", nil)
 	mWorkersBusy = obs.NewGauge("atf_explore_workers_busy",
@@ -70,7 +70,7 @@ var (
 	mWorkers = obs.NewGauge("atf_explore_workers",
 		"Workers of the most recently started parallel exploration")
 
-	// The sharded cost cache behind ExploreParallel.
+	// The sharded cost cache of the PoolEvaluator.
 	mCostCacheHits = obs.NewCounter("atf_cost_cache_hits_total",
 		"Cost-cache lookups served from a completed entry")
 	mCostCacheMisses = obs.NewCounter("atf_cost_cache_misses_total",

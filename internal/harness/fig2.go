@@ -29,7 +29,7 @@ type Options struct {
 	DevOptEvals int
 	Workers     int
 	// Parallelism is the number of concurrent cost evaluators per tuning
-	// run (Tuner.Parallelism semantics: 0/1 sequential, -1 = NumCPU).
+	// run (Tuner.Parallelism semantics: 0/1 = one evaluator, -1 = NumCPU).
 	Parallelism int
 	// Engine selects the oclc execution engine for every kernel launch of
 	// the run (cmd/atf-experiments -engine). The zero value keeps the
@@ -38,18 +38,12 @@ type Options struct {
 	Engine oclc.Engine
 }
 
-// explore dispatches a tuning run to the sequential or parallel engine
-// according to opts.Parallelism, so every experiment honors the CLI's
-// -parallelism flag through one seam.
+// explore runs a tuning run with opts.Parallelism cost evaluators, so
+// every experiment honors the CLI's -parallelism flag through one seam.
 func (o Options) explore(space *core.Space, tech core.Technique, cf core.CostFunction,
 	abort core.AbortCondition, eo core.ExploreOptions) (*core.Result, error) {
-	if o.Parallelism == 0 || o.Parallelism == 1 {
-		return core.Explore(space, tech, cf, abort, eo)
-	}
-	return core.ExploreParallel(space, tech, cf, abort, core.ParallelOptions{
-		ExploreOptions: eo,
-		Workers:        o.Parallelism,
-	})
+	eo.Workers = o.Parallelism
+	return core.Explore(space, tech, cf, abort, eo)
 }
 
 func (o *Options) defaults() {

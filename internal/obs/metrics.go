@@ -6,7 +6,7 @@
 // Metrics are registered once, by name, on a Registry; the package-level
 // constructors (NewCounter, NewGauge, NewHistogram) register on the
 // shared Default registry, which is what the instrumented hot paths —
-// search-space generation, Explore/ExploreParallel, the cost cache, the
+// search-space generation, exploration (core.Explore), the cost cache, the
 // oclc compile cache and the simulated device queue — record into, and
 // what atfd's /metrics endpoint and the CLI -stats summaries export.
 // Registration is get-or-create: re-registering a name returns the

@@ -412,10 +412,9 @@ var diffCorpus = []diffCase{
 		bufs: []int{16, -16},
 	},
 	{
-		// Lanes that fail in lockstep owe the barrier a leave event:
-		// deaths before a barrier every survivor reaches in lockstep are
-		// replayed there, and deaths before a divergent branch are
-		// replayed by the scalar scheduler after the scatter.
+		// Lanes that fail in lockstep, before a barrier every survivor
+		// reaches in lockstep and before a divergent branch: the failed
+		// launch's buffers and error text must match the walker's.
 		name: "lockstep-deaths",
 		src: `__kernel void ld(__global float* out, __global int* sel) {
 		  const int g = get_global_id(0);

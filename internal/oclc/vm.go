@@ -857,8 +857,6 @@ type vmScheduler struct {
 	width      int
 	lanes      []int  // active lanes, ascending
 	laneActive []bool // lane liveness, indexed by linear local id
-	segLanes   []int  // lanes live at the current vector segment's start
-	diedInSeg  []int  // lanes that failed during the current segment
 	lanesDirty bool
 	vframes    []vecFrame
 	argBuf     []rval       // builtin argument gather scratch

@@ -52,14 +52,14 @@ package oclc
 //     the re-gather check only needs per-register kind agreement, not
 //     value agreement.
 //   - Counters are per-lane either way; hoisting never skips a bump.
-//   - Lane deaths (errors, and completions while others wait) must raise
-//     the walker's divergence flag exactly as the scalar scheduler does.
-//     In vector mode deaths accumulate per segment (the span between
-//     barriers) and the flag protocol is replayed at the next barrier in
-//     lane order (replaySegment); on a mid-segment scatter the dead lanes
-//     scatter as vmDying and the scalar scheduler replays their death
-//     events, again in lane order — the same event order a run on
-//     scalar frames alone produces.
+//   - The divergence flag: a work-item completing while others wait at
+//     a barrier raises the walker's flag. In lockstep every active lane
+//     completes or reaches a barrier together, so only the scalar
+//     scheduler ever sees such a completion. A lane can die in lockstep
+//     only by a runtime error, and any error fails the launch, which
+//     then returns no ExecResult and so no flag: lockstep deaths need no
+//     barrier bookkeeping, and a barrier all lanes reach in lockstep is
+//     a counter bump.
 //   - Memory effects: within one instruction lanes execute in ascending
 //     lane order, the same order the scalar scheduler uses between
 //     barriers. Cross-instruction interleaving differs, but that is only
@@ -111,12 +111,6 @@ type vecFrame struct {
 	dst  int32 // caller register receiving the return value
 }
 
-// vmDying marks a lane that failed during the current vector segment when
-// the group scatters to scalar frames mid-segment: the scalar scheduler
-// must still process its death event (parties--, divergence-flag check) in
-// lane order, exactly where a run on scalar frames alone would have.
-const vmDying vmStatus = 255
-
 // runGroup executes one work-group on the calling goroutine: in lockstep
 // where possible and on the scalar cooperative scheduler (runScalar)
 // across divergent regions. Either way the group's barrier follows
@@ -141,12 +135,9 @@ func (s *vmScheduler) runGroup(wg *wgCtx, agg *Counters, counters []Counters, er
 	s.segCtr = Counters{}
 	s.laneActive = resize(s.laneActive, n)
 	s.lanes = s.lanes[:0]
-	s.segLanes = s.segLanes[:0]
-	s.diedInSeg = s.diedInSeg[:0]
 	for i := 0; i < n; i++ {
 		s.laneActive[i] = true
 		s.lanes = append(s.lanes, i)
-		s.segLanes = append(s.segLanes, i)
 	}
 	if cap(s.vframes) < 1 {
 		s.vframes = make([]vecFrame, 1, 4)
@@ -218,7 +209,6 @@ func (s *vmScheduler) laneFail(l int, err error) {
 	wi := &s.wis[l]
 	wi.err = err
 	wi.status = vmDone
-	s.diedInSeg = append(s.diedInSeg, l)
 	s.lanesDirty = true
 }
 
@@ -240,27 +230,6 @@ func (s *vmScheduler) rebuildLanes() {
 	}
 	s.lanes = out
 	s.lanesDirty = false
-}
-
-// replaySegment runs at a barrier every active lane reached in lockstep:
-// it replays the barrier's arrive/leave events over the lanes that were
-// live when the segment started, in lane order — the event order the
-// scalar scheduler produces, since between two barriers each lane has
-// exactly one event (arrival or death) and the pass visits lanes
-// ascending. parties starts at the segment's live count because every
-// earlier death was already replayed at a previous barrier (or scatter).
-// Only the last event can release, so no waiter bookkeeping is needed.
-func (s *vmScheduler) replaySegment() {
-	s.bar.rebase(len(s.segLanes))
-	for _, l := range s.segLanes {
-		if s.laneActive[l] {
-			s.bar.arrive()
-		} else {
-			s.bar.leave()
-		}
-	}
-	s.segLanes = append(s.segLanes[:0], s.lanes...)
-	s.diedInSeg = s.diedInSeg[:0]
 }
 
 func cmpInts(kind int32, a, b int64) bool {
@@ -395,10 +364,8 @@ frames:
 				return true
 			case opBarrier:
 				// Every active lane arrives at once: a barrier in lockstep
-				// is a counter bump plus the divergence-flag replay for
-				// lanes that died since the last one — no suspension.
+				// is a counter bump — no suspension.
 				s.segCtr.Barriers++
-				s.replaySegment()
 				ip++
 
 			case opCtrInt:
@@ -1332,10 +1299,7 @@ func spaceCounter(c *Counters, space AddrSpace, load bool) *int64 {
 // side effects from it applied — the scalar re-execution of the branch
 // reproduces its counters exactly. Each lane frame gets the register kinds
 // as they are, its own payload word of every register, and its own
-// descriptor of every pointer register. Lanes that died during the current
-// segment scatter as vmDying so the scalar scheduler replays their death
-// events in lane order (runScalar); lanes dead from earlier segments had
-// their events replayed at a barrier already and stay vmDone.
+// descriptor of every pointer register. Dead lanes stay vmDone.
 func (s *vmScheduler) scatter() {
 	w := s.width
 	wis := s.wis
@@ -1368,16 +1332,11 @@ func (s *vmScheduler) scatter() {
 		}
 		wi.status = vmRunning
 	}
-	for _, l := range s.diedInSeg {
-		wis[l].status = vmDying
-	}
-	s.diedInSeg = s.diedInSeg[:0]
 }
 
 // runScalar drives the scattered group on the scalar cooperative protocol
-// (including vmDying event replay) until either the group finishes
-// (returns false) or a barrier release lets every surviving lane
-// re-converge into lockstep (returns true).
+// until either the group finishes (returns false) or a barrier release
+// lets every surviving lane re-converge into lockstep (returns true).
 //
 // The barrier releases waiters only when waiting >= parties, and parties
 // counts every lane that still owes an event — so at the moment a release
@@ -1391,7 +1350,7 @@ func (s *vmScheduler) runScalar() bool {
 	live := 0
 	for i := range wis {
 		switch wis[i].status {
-		case vmRunning, vmDying:
+		case vmRunning:
 			parties++
 			live++
 		case vmWaiting:
@@ -1404,16 +1363,10 @@ func (s *vmScheduler) runScalar() bool {
 		released := false
 		for i := range wis {
 			wi := &wis[i]
-			switch wi.status {
-			case vmDying:
-				// Replay the death event of a lane that failed mid-segment
-				// before the scatter.
-				wi.status = vmDone
-			case vmRunning:
-				wi.run()
-			default:
+			if wi.status != vmRunning {
 				continue
 			}
+			wi.run()
 			progress = true
 			if wi.status == vmWaiting {
 				released = s.bar.arrive()
@@ -1531,8 +1484,6 @@ func (s *vmScheduler) tryGather() bool {
 	for _, l := range lanes {
 		s.laneActive[l] = true
 	}
-	s.segLanes = append(s.segLanes[:0], lanes...)
-	s.diedInSeg = s.diedInSeg[:0]
 	s.lanesDirty = false
 	return true
 }

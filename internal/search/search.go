@@ -19,7 +19,7 @@ import (
 // At(i) lookups: one resumable descent is amortized across whole chunks,
 // and production of the next chunk overlaps the caller's evaluation of the
 // current one. Exhaustive implements core.BatchTechnique directly, so the
-// parallel engine (and through it the distributed coordinator's batch
+// exploration engine (and through it the distributed coordinator's batch
 // partitioning) draws whole batches straight off the sweep; the emitted
 // sequence is bit-identical to the historical At(0), At(1), ... walk.
 type Exhaustive struct {
@@ -28,9 +28,11 @@ type Exhaustive struct {
 	buf   []*core.Config
 }
 
-// sequentialChunk is how many configurations GetNextConfig draws from the
-// sweep at a time when exhaustive search runs under the sequential engine.
-const sequentialChunk = 64
+// minSweepChunk is the fewest configurations a refill draws from the
+// sweep. Exploration at one worker asks for batches of one; drawing each
+// of them as its own sweep chunk would cost one descent (and one prefetch
+// goroutine) per configuration.
+const minSweepChunk = 64
 
 // NewExhaustive returns an exhaustive search technique.
 func NewExhaustive() *Exhaustive { return &Exhaustive{} }
@@ -57,30 +59,29 @@ func (e *Exhaustive) Finalize() {
 // GetNextConfig returns each configuration of the space exactly once, then
 // nil.
 func (e *Exhaustive) GetNextConfig() *core.Config {
-	if len(e.buf) == 0 {
-		e.buf = e.sweep.NextChunk(sequentialChunk)
-		if len(e.buf) == 0 {
-			return nil
-		}
+	if batch := e.GetNextBatch(1); len(batch) > 0 {
+		return batch[0]
 	}
-	c := e.buf[0]
-	e.buf = e.buf[1:]
-	return c
+	return nil
 }
 
 // GetNextBatch returns the next n configurations in index order straight
 // off the sweep, a short batch at the end of the space, then nil.
 func (e *Exhaustive) GetNextBatch(n int) []*core.Config {
-	if len(e.buf) >= n {
-		batch := e.buf[:n:n]
-		e.buf = e.buf[n:]
-		return batch
+	if len(e.buf) < n {
+		more := e.sweep.NextChunk(max(n-len(e.buf), minSweepChunk))
+		if len(e.buf) == 0 {
+			e.buf = more
+		} else {
+			e.buf = append(e.buf, more...)
+		}
 	}
-	batch := e.buf
-	e.buf = nil
-	if more := e.sweep.NextChunk(n - len(batch)); len(more) > 0 {
-		batch = append(batch, more...)
+	k := min(n, len(e.buf))
+	if k == 0 {
+		return nil
 	}
+	batch := e.buf[:k:k]
+	e.buf = e.buf[k:]
 	return batch
 }
 

@@ -576,8 +576,9 @@ func (m *Manager) run(s *Session, build *atf.SpecBuild, replayed []EvalRecord) {
 		// must not share outcomes either.
 		cf = &sharedCostFunction{inner: cf, cache: m.sharedCosts, scope: specCostHash(s.Spec)}
 	}
-	if len(replayed) > 0 || len(s.compactOutcomes) > 0 {
-		cf = newReplayCostFunction(cf, s.compactOutcomes, replayed)
+	replay := replayOutcomes(s.compactOutcomes, replayed)
+	if replay != nil {
+		cf = &replayCostFunction{inner: cf, replay: replay}
 	}
 
 	tuner.Pipeline = m.Pipeline
@@ -588,7 +589,7 @@ func (m *Manager) run(s *Session, build *atf.SpecBuild, replayed []EvalRecord) {
 		// Fleet-backed session: the factory's evaluator substitutes the
 		// in-process pool, with the replay-wrapped cost function as its
 		// local fallback and the journaled outcomes resolved up front.
-		ev := m.Evaluator(s.ID, s.Spec, cf, replayOutcomes(s.compactOutcomes, replayed))
+		ev := m.Evaluator(s.ID, s.Spec, cf, replay)
 		if c, ok := ev.(io.Closer); ok {
 			defer c.Close()
 		}
@@ -659,8 +660,10 @@ func (s *Session) failJournalLocked(err error) {
 }
 
 // replayOutcomes indexes journaled evaluations — the compacted prefix's
-// outcome map plus the retained eval records — by configuration key for
-// the fleet evaluator (first outcome wins, matching the cost cache).
+// outcome map plus the retained eval records — by configuration key
+// (first outcome wins, matching the cost cache), or returns nil when
+// nothing was journaled. The one map serves both the replay cost
+// function and the fleet evaluator.
 func replayOutcomes(compact []CompactOutcome, evals []EvalRecord) map[string]atf.Outcome {
 	if len(compact) == 0 && len(evals) == 0 {
 		return nil
@@ -781,43 +784,13 @@ func (s *Session) finish(state State, res *atf.Result, err error) {
 // their per-worker instances.
 type replayCostFunction struct {
 	inner  core.CostFunction
-	replay map[string]replayOutcome
-}
-
-type replayOutcome struct {
-	cost core.Cost
-	err  error
-}
-
-func newReplayCostFunction(inner core.CostFunction, compact []CompactOutcome, evals []EvalRecord) *replayCostFunction {
-	replay := make(map[string]replayOutcome, len(compact)+len(evals))
-	for _, o := range compact {
-		if _, dup := replay[o.Key]; dup {
-			continue // first outcome wins, matching the cost cache
-		}
-		out := replayOutcome{cost: o.Cost}
-		if o.Error != "" {
-			out.err = errors.New(o.Error)
-		}
-		replay[o.Key] = out
-	}
-	for _, rec := range evals {
-		if _, dup := replay[rec.Key]; dup {
-			continue
-		}
-		out := replayOutcome{cost: rec.Cost}
-		if rec.Error != "" {
-			out.err = errors.New(rec.Error)
-		}
-		replay[rec.Key] = out
-	}
-	return &replayCostFunction{inner: inner, replay: replay}
+	replay map[string]atf.Outcome
 }
 
 // Cost implements core.CostFunction.
 func (r *replayCostFunction) Cost(cfg *core.Config) (core.Cost, error) {
 	if out, ok := r.replay[cfg.Key()]; ok {
-		return out.cost, out.err
+		return out.Cost, out.Err
 	}
 	return r.inner.Cost(cfg)
 }

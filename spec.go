@@ -56,7 +56,7 @@ type Spec struct {
 	// Seed makes randomized techniques reproducible (0 = fixed default).
 	Seed int64 `json:"seed,omitempty"`
 	// Parallelism is the number of concurrent cost evaluators
-	// (Tuner.Parallelism: 0/1 sequential, -1 = NumCPU).
+	// (Tuner.Parallelism: 0/1 one evaluator, -1 = NumCPU).
 	Parallelism int `json:"parallelism,omitempty"`
 	// Workers bounds space-generation parallelism (0 = NumCPU).
 	Workers int `json:"workers,omitempty"`
